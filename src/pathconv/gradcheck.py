@@ -5,7 +5,9 @@ layer output, or the model's cross-entropy loss), computes the analytic
 gradient through ``backward`` and compares it against central differences
 with step 1e-6 in 64-bit.  Inputs feeding the sorting and max-pooling
 layers are constructed with well-separated keys so the objective is
-smooth in the checked neighborhood.
+smooth in the checked neighborhood.  Layers after the graph convolutions
+are checked on batches, and the model both on one graph and on a batch
+of three.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .layers import (
     softmax_cross_entropy,
 )
 from .model import Model, ModelConfig
-from .shortest_paths import compute_sp_tensor
+from .shortest_paths import batch_sp_tensors, compute_sp_tensor
 
 STEP = 1e-6
 LAYER_TOL = 1e-6
@@ -139,12 +141,15 @@ def _separated_rows(rng: np.random.Generator, n: int, c: int,
 def check_sortpool(seed: int = 2) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     layer = SortPool(k=4)
-    h = _separated_rows(rng, n=6, c=3)
-    projection = rng.normal(size=(4, 3))
+    # Two graphs: one truncated to k rows, one zero-padded.
+    h = np.vstack([_separated_rows(rng, n=6, c=3), _separated_rows(rng, n=3, c=3)])
+    offsets = np.array([0, 6, 9])
+    projection = rng.normal(size=(2, 4, 3))
 
-    _, record = layer.forward(h)
+    _, record = layer.forward(h, offsets=offsets)
     dh = layer.backward(record, projection.copy())
-    objective = _projection_objective(lambda: layer.forward(h)[0], projection)
+    objective = _projection_objective(lambda: layer.forward(h, offsets=offsets)[0],
+                                      projection)
     numeric = central_difference(objective, h)
     return [CheckResult("sortpool.input", relative_error(dh, numeric), LAYER_TOL)]
 
@@ -154,9 +159,9 @@ def check_conv1d(seed: int = 3) -> list[CheckResult]:
     results = []
     for label, width, stride, c_in in (("tiled", 4, 4, 1), ("sliding", 5, 1, 3)):
         layer = Conv1D(c_in=c_in, filters=3, width=width, stride=stride, rng=rng)
-        x = rng.normal(size=(16, c_in))
+        x = rng.normal(size=(2, 16, c_in))
         t_out = layer.out_length(16)
-        projection = rng.normal(size=(t_out, 3))
+        projection = rng.normal(size=(2, t_out, 3))
 
         _, cache = layer.forward(x)
         for _, g in layer.gradients():
@@ -177,8 +182,9 @@ def check_maxpool(seed: int = 4) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     layer = MaxPool1D(width=2, stride=2)
     # Separate window entries so the argmax is stable under the FD step.
-    x = rng.permutation(12 * 3).reshape(12, 3) * 0.05 + rng.uniform(0, 0.01, (12, 3))
-    projection = rng.normal(size=(6, 3))
+    x = (rng.permutation(2 * 12 * 3).reshape(2, 12, 3) * 0.05
+         + rng.uniform(0, 0.01, (2, 12, 3)))
+    projection = rng.normal(size=(2, 6, 3))
 
     _, cache = layer.forward(x)
     dx = layer.backward(cache, projection.copy())
@@ -190,8 +196,8 @@ def check_maxpool(seed: int = 4) -> list[CheckResult]:
 def check_dense(seed: int = 5) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     layer = Dense(c_in=7, c_out=4, rng=rng)
-    x = rng.normal(size=7)
-    projection = rng.normal(size=4)
+    x = rng.normal(size=(3, 7))
+    projection = rng.normal(size=(3, 4))
 
     _, cache = layer.forward(x)
     for _, g in layer.gradients():
@@ -210,66 +216,107 @@ def check_dense(seed: int = 5) -> list[CheckResult]:
 
 def check_cross_entropy(seed: int = 6) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    logits = rng.normal(size=5)
-    _, grad = softmax_cross_entropy(logits, target=2)
-    numeric = central_difference(lambda: softmax_cross_entropy(logits, 2)[0], logits)
+    logits = rng.normal(size=(3, 5))
+    targets = np.array([2, 0, 4])
+    _, grad = softmax_cross_entropy(logits, targets)
+    numeric = central_difference(
+        lambda: softmax_cross_entropy(logits, targets)[0].sum(), logits)
     # The loss gradient is exact, so hold it to a tighter tolerance.
     return [CheckResult("softmax_cross_entropy", relative_error(grad, numeric), 1e-8)]
 
 
-def model_sort_key_gap(model: Model, sp, x) -> float:
-    """Smallest gap between adjacent sort keys at the pooling layer."""
-    from .layers import concat_layers
+def sort_key_gaps(model: Model, sp, x) -> np.ndarray:
+    """Gaps between adjacent sort keys at the pooling layer, within each graph."""
+    keys = model.conv_activations(sp, x)[-1][:, -1]
+    bounds = sp.offsets
+    return np.concatenate([np.diff(np.sort(keys[lo:hi]))
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
-    hcat = concat_layers(model.conv_activations(sp, x))
-    keys = np.sort(hcat[:, -1])
-    return float(np.diff(keys).min()) if keys.size > 1 else np.inf
+
+def readout_margin(model: Model, sp, x) -> float:
+    """Smallest distance of a read-out pre-activation from its rectifier kink."""
+    hcat = np.hstack(model.conv_activations(sp, x))
+    pooled, _ = model.sortpool.forward(hcat, offsets=sp.offsets)
+    z1, _ = model.conv1.forward(pooled.reshape(pooled.shape[0], -1, 1))
+    z2, _ = model.conv2.forward(model.pool.forward(np.maximum(z1, 0.0))[0])
+    d1, _ = model.dense1.forward(np.maximum(z2, 0.0).reshape(z2.shape[0], -1))
+    return min(float(np.abs(z).min()) for z in (z1, z2, d1))
+
+
+def _small_model(rng: np.random.Generator) -> Model:
+    config = ModelConfig(r=2, conv_layers=2, channels=3, sortpool_k=10,
+                         conv1_filters=3, conv2_filters=4, dense_width=6,
+                         dropout_rate=0.0, seed=int(rng.integers(1 << 31)))
+    model = Model(config, feature_dim=3, num_classes=2)
+    # Nudge every parameter (biases included) so no pre-activation sits
+    # exactly on a rectifier kink; zero-padded pooling rows would otherwise
+    # land there systematically.
+    for _, p in model.parameters():
+        p += rng.uniform(-0.3, 0.3, size=p.shape)
+    return model
+
+
+def _model_results(label: str, model: Model, sp, x, targets,
+                   input_rows: slice) -> list[CheckResult]:
+    """Summed cross-entropy gradients of every parameter and of the
+    feature rows ``input_rows`` against central differences."""
+    # Kinks next to the evaluation point would poison the differences.
+    margin = readout_margin(model, sp, x)
+    if margin <= 1e-4:
+        raise AssertionError(f"pre-activation too close to a kink: {margin}")
+
+    def objective():
+        _, cache = model.forward(sp, x)
+        return float(softmax_cross_entropy(cache["logits"], targets)[0].sum())
+
+    model.zero_gradients()
+    _, _, dx = model.loss_and_gradients(sp, x, targets, input_grad=True)
+    results = []
+    for (name, p), (_, g) in zip(model.parameters(), model.gradients()):
+        numeric = central_difference(objective, p)
+        results.append(CheckResult(f"{label}.{name}", relative_error(g, numeric),
+                                   MODEL_TOL))
+    numeric = central_difference(objective, x[input_rows])
+    results.append(CheckResult(f"{label}.input",
+                               relative_error(dx[input_rows], numeric), MODEL_TOL))
+    return results
 
 
 def check_model(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     graph = _test_graph(rng)
     sp = compute_sp_tensor(graph, r=2)
-    config = ModelConfig(r=2, conv_layers=2, channels=3, sortpool_k=10,
-                         conv1_filters=3, conv2_filters=4, dense_width=6,
-                         dropout_rate=0.0, seed=int(rng.integers(1 << 31)))
-    model = Model(config, feature_dim=3, num_classes=2)
+    model = _small_model(rng)
     x = graph.features + rng.normal(scale=0.3, size=graph.features.shape)
-    # Nudge every parameter (biases included) so no pre-activation sits
-    # exactly on a rectifier kink; zero-padded pooling rows would otherwise
-    # land there systematically.
-    for _, p in model.parameters():
-        p += rng.uniform(-0.3, 0.3, size=p.shape)
-
-    # Kinks next to the evaluation point would poison the differences;
-    # require clearly separated sort keys and off-zero pre-activations.
-    gap = model_sort_key_gap(model, sp, x)
+    gap = sort_key_gaps(model, sp, x).min()
     if gap <= 1e-2:
         raise AssertionError(f"sort keys too close for a finite-difference check: {gap}")
-    _, probe = model.forward(sp, x)
-    for key in ("z1", "z2", "d1"):
-        margin = float(np.abs(probe[key]).min())
-        if margin <= 1e-4:
-            raise AssertionError(f"pre-activation {key} too close to a kink: {margin}")
+    return _model_results("model", model, sp, x, np.array([1]), slice(None))
 
-    def objective():
-        _, cache = model.forward(sp, x)
-        loss, _ = softmax_cross_entropy(cache["logits"], 1)
-        return loss
 
-    model.zero_gradients()
-    _, cache = model.forward(sp, x)
-    _, dlogits = softmax_cross_entropy(cache["logits"], 1)
-    dx = model.backward(cache, dlogits)
-
-    results = []
-    for (name, p), (_, g) in zip(model.parameters(), model.gradients()):
-        numeric = central_difference(objective, p)
-        results.append(CheckResult(f"model.{name}", relative_error(g, numeric),
-                                   MODEL_TOL))
-    numeric = central_difference(objective, x)
-    results.append(CheckResult("model.input", relative_error(dx, numeric), MODEL_TOL))
-    return results
+def check_batched_model(seed: int = 1) -> list[CheckResult]:
+    """Three graphs in one pass.  The second has two mirror-image leaves
+    with equal features, so its rows tie exactly on every column; a
+    parameter step moves both alike, so the tie, and the order it falls
+    back to, hold.  Input rows are checked on the first graph only, since
+    moving one leaf alone would break the tie."""
+    rng = np.random.default_rng(seed)
+    mirrored = Graph(node_count=5, edges=frozenset({(0, 1), (0, 2), (0, 3), (3, 4)}),
+                     features=np.eye(3)[[0, 1, 1, 2, 0]], target=1)
+    path = Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}),
+                 features=np.eye(3)[rng.integers(0, 3, size=4)], target=0)
+    graphs = [_test_graph(rng), mirrored, path]
+    sp = batch_sp_tensors([compute_sp_tensor(g, r=2) for g in graphs], r=2)
+    model = _small_model(rng)
+    x = np.vstack([g.features for g in graphs])
+    x += rng.normal(scale=0.3, size=x.shape)
+    x[8] = x[9]  # the mirrored leaves
+    gaps = sort_key_gaps(model, sp, x)
+    if np.count_nonzero(gaps == 0.0) != 1 or np.sort(gaps)[1] <= 1e-2:
+        raise AssertionError(f"sort keys are not one exact tie and clear gaps: {gaps}")
+    targets = np.array([0, 1, 1])
+    return _model_results("batched_model", model, sp, x, targets,
+                          slice(0, graphs[0].node_count))
 
 
 def run_all() -> list[CheckResult]:
@@ -283,6 +330,7 @@ def run_all() -> list[CheckResult]:
     results += check_dense()
     results += check_cross_entropy()
     results += check_model()
+    results += check_batched_model()
     return results
 
 

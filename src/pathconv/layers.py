@@ -6,6 +6,11 @@ the loss with respect to the output, accumulates parameter gradients into
 the layer's ``grad_*`` buffers and returns the gradient with respect to
 the input.  Parameters are only ever mutated by the optimizer.
 
+Layers work on minibatches.  The graph convolutions see the batch as one
+disconnected graph whose node rows are stacked; SortPool cuts it into a
+(graphs, k, channels) block, and every later layer takes that leading
+batch axis.  Parameter gradients are summed over the batch.
+
 All arithmetic is 64-bit.
 """
 
@@ -54,21 +59,32 @@ class DistanceConv:
     def out_width(self) -> int:
         return (self.r + 1) * self.c_out
 
-    def forward(self, sp: SPTensor, h: np.ndarray):
+    def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
+        """``out``, if given, is the (nodes, out_width) array to write into."""
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
-        means = [propagate(sp, j, h) for j in range(self.r + 1)]
-        acts = [np.tanh(m @ w) for m, w in zip(means, self.weights)]
-        return concat_layers(acts), (sp, means, acts)
+        if out is None:
+            out = np.empty((h.shape[0], self.out_width))
+        c = self.c_out
+        acts = [np.tanh(propagate(sp, j, h) @ w, out=out[:, j * c:(j + 1) * c])
+                for j, w in enumerate(self.weights)]
+        return out, (sp, h, acts)
 
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        sp, means, acts = cache
-        dh = np.zeros((dout.shape[0], self.c_in))
-        for j in range(self.r + 1):
+    def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
+        """Returns the input gradient, or None when ``input_grad`` is off.
+
+        The weight gradient (P_j h)^T dz is taken as h^T (P_j^T dz): the
+        c_out-wide gradient is propagated, and the c_in-wide means need not
+        be kept from the forward pass.
+        """
+        sp, h, acts = cache
+        dh = np.zeros((h.shape[0], self.c_in)) if input_grad else None
+        for j, w in enumerate(self.weights):
             da = dout[:, j * self.c_out:(j + 1) * self.c_out]
-            dz = da * (1.0 - acts[j] ** 2)
-            self.grad_weights[j] += means[j].T @ dz
-            dh += propagate_transpose(sp, j, dz @ self.weights[j].T)
+            back = propagate_transpose(sp, j, da * (1.0 - acts[j] ** 2))
+            self.grad_weights[j] += h.T @ back
+            if input_grad:
+                dh += back @ w.T
         return dh
 
     def parameters(self):
@@ -92,22 +108,25 @@ class JointConv:
     def out_width(self) -> int:
         return self.c_out
 
-    def forward(self, sp: SPTensor, h: np.ndarray):
+    def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
+        """``out``, if given, is the (nodes, out_width) array to write into."""
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
-        counts = np.asarray(sp.mats[1].sum(axis=1)).ravel()  # exact integer degrees
-        norm = 1.0 / (1.0 + counts)  # self-contribution keeps every row sum >= 1
+        degrees = np.diff(sp.mats[1].indptr)  # exact: one stored entry per neighbor
+        norm = 1.0 / (1 + degrees)  # self-contribution keeps every row sum >= 1
         mean = norm[:, None] * (h + sp.mats[1] @ h)
-        act = np.tanh(mean @ self.weight)
-        return act, (sp, norm, mean, act)
+        act = np.tanh(mean @ self.weight, out=out)
+        return act, (sp, norm, h, act)
 
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        sp, norm, mean, act = cache
-        dz = dout * (1.0 - act ** 2)
-        self.grad_weight += mean.T @ dz
-        dmean = dz @ self.weight.T
-        scaled = norm[:, None] * dmean  # transpose of (I + A) with joint row norm
-        return scaled + sp.mats[1] @ scaled
+    def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
+        """Returns the input gradient, or None when ``input_grad`` is off.
+        As in :class:`DistanceConv`, the mean's transpose acts on the
+        c_out-wide gradient."""
+        sp, norm, h, act = cache
+        scaled = norm[:, None] * (dout * (1.0 - act ** 2))
+        back = scaled + sp.mats[1] @ scaled  # transpose of (I + A) with joint row norm
+        self.grad_weight += h.T @ back
+        return back @ self.weight.T if input_grad else None
 
     def parameters(self):
         return [("w", self.weight)]
@@ -117,7 +136,7 @@ class JointConv:
 
 
 class SortPool:
-    """Fixed-size readout: order the rows lexicographically and keep k.
+    """Fixed-size readout: order each graph's rows lexicographically and keep k.
 
     Rows are sorted in descending order keyed on the last column, ties
     broken by the next column to the left, and finally by ascending
@@ -132,42 +151,54 @@ class SortPool:
             raise ConfigError(f"sort-pooling size must be positive, got {k}")
         self.k = k
 
-    def forward(self, h: np.ndarray):
+    def forward(self, h: np.ndarray, offsets: np.ndarray | None = None):
+        """(k, c) for one graph; given ``offsets`` (every graph's first row,
+        then the row count), one (k, c) block per graph as (graphs, k, c)."""
         n, c = h.shape
-        # Stable sort on the negated last column: descending values, ties in
+        bounds = np.array([0, n]) if offsets is None else offsets
+        graph = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        # Stable sort: by graph, then descending last column, ties in
         # ascending index order.
-        order = np.argsort(-h[:, c - 1], kind="stable")
-        sorted_last = h[order, c - 1]
-        pos = 0
-        while pos < n:  # refine groups tied on the last column
-            end = pos + 1
-            while end < n and sorted_last[end] == sorted_last[pos]:
-                end += 1
-            if end - pos > 1:
-                rows = order[pos:end]
-                sub = h[rows, : c - 1]
-                varying = np.flatnonzero(sub.max(axis=0) > sub.min(axis=0))
-                if varying.size:
-                    # rows (ascending index) is the least significant key.
-                    keys = (rows,) + tuple(-sub[:, col] for col in varying)
-                    order[pos:end] = rows[np.lexsort(keys)]
-            pos = end
-        selected = order[: min(n, self.k)]
-        out = np.zeros((self.k, c))
-        out[: selected.size] = h[selected]
-        return out, (selected, n, c)
+        order = np.lexsort((-h[:, c - 1], graph))
+        graph, last = graph[order], h[order, c - 1]
+        tied = (graph[1:] == graph[:-1]) & (last[1:] == last[:-1])
+        if tied.any():  # refine runs of rows tied on the last column
+            edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
+            for lo, hi in zip(edges[::2], edges[1::2] + 1):
+                order[lo:hi] = tie_order(h, order[lo:hi])
+        rank = np.arange(n) - bounds[graph]
+        kept = np.zeros(n, dtype=bool)
+        kept[order] = rank < self.k
+        slot = np.zeros(n, dtype=np.int64)  # output row of each kept node
+        slot[order] = graph * self.k + rank
+        out = np.zeros(((len(bounds) - 1) * self.k, c))
+        out[slot[kept]] = h[kept]
+        out = out.reshape(-1, self.k, c) if offsets is not None else out
+        return out, (slot, kept, out.shape)
 
     def backward(self, record, dout: np.ndarray) -> np.ndarray:
-        selected, n, c = record
-        if dout.shape != (self.k, c):
-            raise ValueError(f"gradient shape {dout.shape} does not match ({self.k}, {c})")
-        dh = np.zeros((n, c))
-        dh[selected] = dout[: selected.size]
+        slot, kept, shape = record
+        if dout.shape != shape:
+            raise ValueError(f"gradient shape {dout.shape} does not match {shape}")
+        dh = dout.reshape(-1, shape[-1])[np.where(kept, slot, 0)]
+        dh[~kept] = 0.0
         return dh
 
 
+def tie_order(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (ascending, tied on the last column of ``h``) in SortPool
+    order: earlier columns descending from right to left, then index.
+
+    Python's list comparison stops at the first differing column, which
+    is cheaper than sorting on every column of a wide row, and its sort
+    is stable, so fully tied rows keep their ascending order.
+    """
+    keys = (-h[rows, :-1][:, ::-1]).tolist()
+    return rows[sorted(range(len(rows)), key=keys.__getitem__)]
+
+
 class Conv1D:
-    """1-D cross-correlation over a (length, channels) signal."""
+    """1-D cross-correlation over (..., length, channels) signals."""
 
     def __init__(self, c_in: int, filters: int, width: int, stride: int,
                  rng: np.random.Generator):
@@ -188,34 +219,36 @@ class Conv1D:
             )
         return (length - self.width) // self.stride + 1
 
-    def forward(self, x: np.ndarray):
-        t_out = self.out_length(x.shape[0])
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """(steps, width * c_in): one receptive field per output step."""
+        t_out = self.out_length(x.shape[-2])
         if self.stride == self.width:
-            # Non-overlapping windows tile the front of the signal, so the
-            # convolution is a plain matrix product.
-            tiles = x[: t_out * self.width].reshape(t_out, self.width * self.c_in)
-            out = tiles @ self.kernel.reshape(self.filters, -1).T + self.bias
+            # Non-overlapping windows tile the front of the signal.
+            tiles = x[..., : t_out * self.width, :]
         else:
-            windows = sliding_window_view(x, self.width, axis=0)[:: self.stride]
-            out = np.einsum("tcw,owc->to", windows, self.kernel) + self.bias
-        return out, x
+            tiles = sliding_window_view(x, self.width, axis=-2)[..., :: self.stride, :, :]
+            tiles = tiles.swapaxes(-1, -2)  # (..., t_out, width, c_in)
+        return tiles.reshape(-1, self.width * self.c_in)
+
+    def forward(self, x: np.ndarray):
+        windows = self._windows(x)
+        out = windows @ self.kernel.reshape(self.filters, -1).T + self.bias
+        t_out = self.out_length(x.shape[-2])
+        return out.reshape(*x.shape[:-2], t_out, self.filters), (windows, x.shape)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        x = cache
-        t_out = dout.shape[0]
-        self.grad_bias += dout.sum(axis=0)
-        dx = np.zeros_like(x)
-        if self.stride == self.width:
-            tiles = x[: t_out * self.width].reshape(t_out, self.width * self.c_in)
-            kflat = self.kernel.reshape(self.filters, -1)
-            self.grad_kernel += (dout.T @ tiles).reshape(self.kernel.shape)
-            dx[: t_out * self.width] = (dout @ kflat).reshape(-1, self.c_in)
-        else:
-            windows = sliding_window_view(x, self.width, axis=0)[:: self.stride]
-            self.grad_kernel += np.einsum("to,tcw->owc", dout, windows)
-            contrib = np.einsum("to,owc->twc", dout, self.kernel)
-            for w in range(self.width):
-                dx[w::self.stride][:t_out] += contrib[:, w, :]
+        windows, x_shape = cache
+        t_out = dout.shape[-2]
+        dflat = dout.reshape(-1, self.filters)
+        self.grad_bias += dflat.sum(axis=0)
+        self.grad_kernel += (dflat.T @ windows).reshape(self.kernel.shape)
+        dwin = (dflat @ self.kernel.reshape(self.filters, -1)).reshape(
+            *x_shape[:-2], t_out, self.width, self.c_in)
+        if self.stride == self.width and t_out * self.width == x_shape[-2]:
+            return dwin.reshape(x_shape)  # the tiles cover the signal exactly
+        dx = np.zeros(x_shape)
+        for w in range(self.width):
+            dx[..., w::self.stride, :][..., :t_out, :] += dwin[..., w, :]
         return dx
 
     def parameters(self):
@@ -226,7 +259,7 @@ class Conv1D:
 
 
 class MaxPool1D:
-    """Max pooling over the time axis of a (length, channels) signal."""
+    """Max pooling over the time axis of (..., length, channels) signals."""
 
     def __init__(self, width: int = 2, stride: int = 2):
         self.width = width
@@ -240,28 +273,24 @@ class MaxPool1D:
         return (length - self.width) // self.stride + 1
 
     def forward(self, x: np.ndarray):
-        t_out = self.out_length(x.shape[0])
-        if self.stride == self.width:
-            windows = x[: t_out * self.width].reshape(t_out, self.width, x.shape[1])
-            arg = windows.argmax(axis=1)  # first max wins ties, deterministically
-            out = np.take_along_axis(windows, arg[:, None, :], axis=1)[:, 0, :]
-        else:
-            windows = sliding_window_view(x, self.width, axis=0)[:: self.stride]
-            arg = windows.argmax(axis=2)
-            out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+        self.out_length(x.shape[-2])
+        windows = sliding_window_view(x, self.width, axis=-2)[..., :: self.stride, :, :]
+        arg = windows.argmax(axis=-1)  # first max wins ties, deterministically
+        out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
         return out, (arg, x.shape)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         arg, x_shape = cache
-        t_out, channels = dout.shape
-        dx = np.zeros(x_shape)
-        rows = np.arange(t_out)[:, None] * self.stride + arg
-        np.add.at(dx, (rows, np.arange(channels)[None, :]), dout)
-        return dx
+        t_out, channels = dout.shape[-2:]
+        dx = np.zeros(x_shape).reshape(-1, x_shape[-2], channels)
+        rows = np.arange(t_out)[:, None] * self.stride + arg.reshape(-1, t_out, channels)
+        batch = np.arange(dx.shape[0])[:, None, None]
+        np.add.at(dx, (batch, rows, np.arange(channels)), dout.reshape(rows.shape))
+        return dx.reshape(x_shape)
 
 
 class Dense:
-    """Affine layer on a flat vector."""
+    """Affine layer on (batch, features) rows."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         self.weight = glorot_uniform(rng, c_in, c_out)
@@ -274,8 +303,8 @@ class Dense:
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         x = cache
-        self.grad_weight += np.outer(x, dout)
-        self.grad_bias += dout
+        self.grad_weight += x.T @ dout
+        self.grad_bias += dout.sum(axis=0)
         return dout @ self.weight.T
 
     def parameters(self):
@@ -314,21 +343,27 @@ class Dropout:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
+    """Row-wise softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Stabilized cross-entropy loss and its gradient in the logits."""
-    if not 0 <= target < logits.shape[0]:
-        raise ValueError(f"target {target} outside 0..{logits.shape[0] - 1}")
-    z = logits - logits.max()
+def softmax_cross_entropy(logits: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilized cross-entropy loss of every row of ``logits`` and its
+    gradient in the logits; ``target`` holds one class per row."""
+    target = np.asarray(target)
+    classes = logits.shape[-1]
+    if np.any((target < 0) | (target >= classes)):
+        raise ValueError(f"target {target} outside 0..{classes - 1}")
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    total = e.sum()
-    loss = float(np.log(total) - z[target])
+    total = e.sum(axis=-1, keepdims=True)
+    picked = target[..., None]
+    loss = (np.log(total) - np.take_along_axis(z, picked, axis=-1))[..., 0]
     grad = e / total
-    grad[target] -= 1.0
+    np.put_along_axis(grad, picked, np.take_along_axis(grad, picked, axis=-1) - 1.0,
+                      axis=-1)
     return loss, grad
 
 

@@ -5,7 +5,9 @@ their outputs, a sort-based pooling layer producing a fixed k x c tensor,
 then a 1-D read-out (convolution over one node representation per step,
 max-pooling, a second convolution) and two dense layers ending in a
 softmax over the classes.  Graph convolutions use tanh, the read-out uses
-rectified linear units.
+rectified linear units.  The network runs on minibatches: the graphs of a
+batch travel through the graph convolutions as one disconnected graph and
+through the read-out as a leading batch axis.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .layers import (
     MaxPool1D,
     ReLU,
     SortPool,
-    concat_layers,
     softmax,
     softmax_cross_entropy,
 )
@@ -92,6 +93,12 @@ class ModelConfig:
             raise ConfigError("epochs must be >= 0 and batch size >= 1")
 
 
+def distance_cutoff(config: ModelConfig) -> int:
+    """Largest shortest-path distance the model reads: r in parametric
+    mode, the direct neighbors in baseline mode."""
+    return config.r if config.mode == "parametric" else 1
+
+
 def resolve_sortpool_k(config: ModelConfig, node_counts: list[int]) -> int:
     """Concrete pooling size for a training set.
 
@@ -135,7 +142,9 @@ class Model:
                 conv = JointConv(width, config.channels, rng)
             self.graph_convs.append(conv)
             width = conv.out_width
-        self.concat_width = sum(c.out_width for c in self.graph_convs)
+        ends = np.cumsum([c.out_width for c in self.graph_convs]).tolist()
+        self.concat_width = ends[-1]
+        self._conv_columns = list(zip([0] + ends[:-1], ends))
 
         k = config.sortpool_k
         self.sortpool = SortPool(k)
@@ -168,92 +177,87 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
-    def forward(self, sp: SPTensor, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None):
-        """Class probabilities for one graph, plus the cache backward needs."""
+    def _convolve(self, sp: SPTensor, x: np.ndarray):
+        """Every graph convolution, each writing its columns of one
+        (nodes, concat_width) array; returns that array and the caches."""
         if x.shape[1] != self.feature_dim:
             raise ValueError(
                 f"feature dimension {x.shape[1]} does not match model ({self.feature_dim})"
             )
-        conv_outs = []
-        conv_caches = []
+        hcat = np.empty((sp.node_count, self.concat_width))
+        caches = []
         h = x
-        for conv in self.graph_convs:
-            h, cache = conv.forward(sp, h)
-            conv_outs.append(h)
-            conv_caches.append(cache)
-        hcat = concat_layers(conv_outs)
+        for conv, (lo, hi) in zip(self.graph_convs, self._conv_columns):
+            h, cache = conv.forward(sp, h, out=hcat[:, lo:hi])
+            caches.append(cache)
+        return hcat, caches
 
-        pooled, record = self.sortpool.forward(hcat)
-        signal = pooled.reshape(-1, 1)
-        z1, c1 = self.conv1.forward(signal)
+    def forward(self, sp: SPTensor, x: np.ndarray, train_mode: bool = False,
+                rng: np.random.Generator | None = None):
+        """Class probabilities, one row per graph of ``sp``, plus the cache
+        backward needs.  ``x`` stacks the graphs' feature rows."""
+        hcat, conv_caches = self._convolve(sp, x)
+        pooled, record = self.sortpool.forward(hcat, offsets=sp.offsets)
+        graphs = pooled.shape[0]
+        z1, c1 = self.conv1.forward(pooled.reshape(graphs, -1, 1))
         a1, m1 = self.relu1.forward(z1)
         p1, cp = self.pool.forward(a1)
         z2, c2 = self.conv2.forward(p1)
         a2, m2 = self.relu2.forward(z2)
-        flat = a2.reshape(-1)
-        d1, cd1 = self.dense1.forward(flat)
+        d1, cd1 = self.dense1.forward(a2.reshape(graphs, -1))
         a3, m3 = self.relu3.forward(d1)
         dr, mdrop = self.dropout.forward(a3, train_mode, rng)
         logits, cd2 = self.dense2.forward(dr)
         probs = softmax(logits)
 
         cache = {
-            "conv_caches": conv_caches,
-            "conv_widths": [c.out_width for c in self.graph_convs],
-            "record": record,
-            "pooled_shape": pooled.shape,
+            "conv_caches": conv_caches, "record": record, "pooled_shape": pooled.shape,
             "c1": c1, "m1": m1, "cp": cp, "c2": c2, "m2": m2,
-            "a2_shape": z2.shape, "cd1": cd1, "m3": m3, "mdrop": mdrop,
-            "cd2": cd2, "logits": logits,
-            # Pre-activations, kept for smoothness diagnostics.
-            "z1": z1, "z2": z2, "d1": d1,
+            "cd1": cd1, "m3": m3, "mdrop": mdrop, "cd2": cd2, "logits": logits,
         }
         return probs, cache
 
-    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns the input-feature gradient."""
+    def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False):
+        """Accumulate parameter gradients, summed over the batch.  Returns
+        the input-feature gradient when ``input_grad`` is set, else None."""
         dd = self.dense2.backward(cache["cd2"], dlogits)
         dd = self.dropout.backward(cache["mdrop"], dd)
         dd = self.relu3.backward(cache["m3"], dd)
         dd = self.dense1.backward(cache["cd1"], dd)
-        da2 = dd.reshape(cache["a2_shape"])
-        dz2 = self.relu2.backward(cache["m2"], da2)
+        dz2 = self.relu2.backward(cache["m2"], dd.reshape(cache["m2"].shape))
         dp1 = self.conv2.backward(cache["c2"], dz2)
         da1 = self.pool.backward(cache["cp"], dp1)
         dz1 = self.relu1.backward(cache["m1"], da1)
         dsignal = self.conv1.backward(cache["c1"], dz1)
-        dpooled = dsignal.reshape(cache["pooled_shape"])
-        dhcat = self.sortpool.backward(cache["record"], dpooled)
+        dhcat = self.sortpool.backward(cache["record"],
+                                       dsignal.reshape(cache["pooled_shape"]))
 
         # Each conv output feeds both the concatenation and the next layer.
-        widths = cache["conv_widths"]
-        offsets = np.cumsum([0] + widths)
         dnext = None
         for i in reversed(range(len(self.graph_convs))):
-            dout = dhcat[:, offsets[i]:offsets[i + 1]].copy()
+            lo, hi = self._conv_columns[i]
+            dout = dhcat[:, lo:hi]
             if dnext is not None:
                 dout += dnext
-            dnext = self.graph_convs[i].backward(cache["conv_caches"][i], dout)
+            dnext = self.graph_convs[i].backward(cache["conv_caches"][i], dout,
+                                                 input_grad=input_grad or i > 0)
         return dnext
 
-    def loss_and_gradients(self, sp: SPTensor, x: np.ndarray, target: int,
+    def loss_and_gradients(self, sp: SPTensor, x: np.ndarray, target,
                            train_mode: bool = False,
-                           rng: np.random.Generator | None = None):
-        """Forward, cross-entropy, backward; returns (loss, probs, dx)."""
+                           rng: np.random.Generator | None = None,
+                           input_grad: bool = False):
+        """Forward, cross-entropy, backward; returns (losses, probs, dx),
+        one loss per graph and dx only with ``input_grad``."""
         probs, cache = self.forward(sp, x, train_mode=train_mode, rng=rng)
-        loss, dlogits = softmax_cross_entropy(cache["logits"], target)
-        dx = self.backward(cache, dlogits)
+        loss, dlogits = softmax_cross_entropy(cache["logits"], np.atleast_1d(target))
+        dx = self.backward(cache, dlogits, input_grad=input_grad)
         return loss, probs, dx
 
     def conv_activations(self, sp: SPTensor, x: np.ndarray) -> list[np.ndarray]:
         """Outputs of every graph convolution layer, in order."""
-        outs = []
-        h = x
-        for conv in self.graph_convs:
-            h, _ = conv.forward(sp, h)
-            outs.append(h)
-        return outs
+        hcat, _ = self._convolve(sp, x)
+        return [hcat[:, lo:hi] for lo, hi in self._conv_columns]
 
     # ------------------------------------------------------------- parameters
 
@@ -303,7 +307,7 @@ def model_forward(graph: Graph, sp: SPTensor, model: Model,
     if sp.node_count != graph.node_count:
         raise ValueError("shortest-path tensor does not match the graph")
     probs, _ = model.forward(sp, graph.features, train_mode=train_mode, rng=rng)
-    return probs
+    return probs[0]
 
 
 def save_checkpoint(model: Model, path) -> None:

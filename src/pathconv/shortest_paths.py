@@ -11,6 +11,7 @@ node's row by the mean over its distance-j neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -25,15 +26,25 @@ class SPTensor:
     ``mats[j]`` is the sparse binary matrix of pairs at distance exactly j;
     ``inv_degrees[j][i]`` is 1 / (row sum of mats[j] row i), or 0 when node
     i has no distance-j neighbor.  Immutable after construction.
+
+    A tensor from :func:`batch_sp_tensors` describes several graphs as one
+    disconnected graph: ``graph_sizes`` lists their node counts in row
+    order; it is None for a single graph.
     """
 
     r: int
     mats: tuple[sparse.csr_matrix, ...]
     inv_degrees: tuple[np.ndarray, ...]
+    graph_sizes: tuple[int, ...] | None = None
 
     @property
     def node_count(self) -> int:
         return self.mats[0].shape[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """First row of every graph, then the total row count."""
+        return np.cumsum((0,) + (self.graph_sizes or (self.node_count,)))
 
 
 def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
@@ -48,42 +59,68 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
         raise ValueError(f"distance cutoff must be non-negative, got {r}")
     n = graph.node_count
     nbrs = graph.neighbors
-    rows: list[list[int]] = [[] for _ in range(r + 1)]
+    # Per distance: each row's entry count, and the rows' sorted columns
+    # in row order, which is CSR with canonical (sorted) indices.
+    counts = [[0] * n for _ in range(r + 1)]
     cols: list[list[int]] = [[] for _ in range(r + 1)]
-
-    dist = np.empty(n, dtype=np.int64)
     for src in range(n):
-        dist[:] = -1
-        dist[src] = 0
-        rows[0].append(src)
-        cols[0].append(src)
+        seen = {src}
         frontier = [src]
         for depth in range(1, r + 1):
             nxt = []
             for u in frontier:
                 for w in nbrs[u]:
-                    if dist[w] < 0:
-                        dist[w] = depth
+                    if w not in seen:
+                        seen.add(w)
                         nxt.append(w)
-                        rows[depth].append(src)
-                        cols[depth].append(w)
             if not nxt:
                 break
+            nxt.sort()
+            counts[depth][src] = len(nxt)
+            cols[depth] += nxt
             frontier = nxt
 
-    mats = []
-    inv_degrees = []
-    for j in range(r + 1):
-        m = sparse.csr_matrix(
-            (np.ones(len(rows[j])), (rows[j], cols[j])), shape=(n, n)
-        )
-        counts = np.asarray(m.sum(axis=1)).ravel()
+    mats = [sparse.identity(n, format="csr")]
+    inv_degrees = [np.ones(n)]
+    for j in range(1, r + 1):
+        row_counts = np.array(counts[j])
+        indptr = np.concatenate(([0], np.cumsum(row_counts)))
+        mats.append(sparse.csr_matrix(
+            (np.ones(len(cols[j])), np.array(cols[j], dtype=np.int32), indptr),
+            shape=(n, n)))
         inv = np.zeros(n)
-        nz = counts > 0
-        inv[nz] = 1.0 / counts[nz]
-        mats.append(m)
+        nz = row_counts > 0
+        inv[nz] = 1.0 / row_counts[nz]
         inv_degrees.append(inv)
     return SPTensor(r=r, mats=tuple(mats), inv_degrees=tuple(inv_degrees))
+
+
+def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
+    """The graphs of ``sps`` as one disconnected graph, distances 0..r.
+
+    Every ``mats[j]`` is block-diagonal, built by concatenating the CSR
+    arrays, so each row keeps its entries in their original order and
+    propagation gives every graph's rows bit for bit.
+    """
+    if len(sps) == 1:
+        return sps[0]
+    sizes = tuple(sp.node_count for sp in sps)
+    n = sum(sizes)
+    row_offsets = list(accumulate(sizes[:-1], initial=0))
+    mats = []
+    for j in range(r + 1):
+        parts = [sp.mats[j] for sp in sps]
+        nnz_offsets = accumulate((m.nnz for m in parts), initial=0)
+        indptr = np.concatenate(
+            [[0]] + [m.indptr[1:] + base for m, base in zip(parts, nnz_offsets)])
+        indices = np.concatenate(
+            [m.indices + base for m, base in zip(parts, row_offsets)])
+        data = np.concatenate([m.data for m in parts])
+        mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+    inv_degrees = tuple(np.concatenate([sp.inv_degrees[j] for sp in sps])
+                        for j in range(r + 1))
+    return SPTensor(r=r, mats=tuple(mats), inv_degrees=inv_degrees,
+                    graph_sizes=sizes)
 
 
 def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:

@@ -5,15 +5,22 @@ evaluates the validation block after every epoch, restores the parameters
 of the best validation epoch, and only then touches the test block once.
 Experiments repeat the whole cross-validation with re-seeded partitions
 and aggregate mean and standard deviation over all folds.
+
+Graphs are processed in passes of at most NODE_BUDGET nodes: a minibatch
+is cut, in order, into consecutive sub-batches whose gradients add up,
+and evaluation walks its graphs the same way.  Each pass treats its
+graphs as one disconnected graph (``batch_sp_tensors``).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import logging
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import cache
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,10 +29,14 @@ import numpy as np
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError
 from .layers import softmax_cross_entropy
-from .model import Model, ModelConfig, with_resolved_k
-from .shortest_paths import SPTensor, compute_sp_tensor
+from .model import Model, ModelConfig, distance_cutoff, with_resolved_k
+from .shortest_paths import SPTensor, batch_sp_tensors, compute_sp_tensor
 
 log = logging.getLogger(__name__)
+
+# Most nodes in one forward/backward pass.  It bounds the memory a pass
+# holds; a graph larger than this gets a pass of its own.
+NODE_BUDGET = 256
 
 
 @dataclass
@@ -66,23 +77,106 @@ def precompute_sp_tensors(dataset: Dataset, r: int) -> list[SPTensor]:
     return [compute_sp_tensor(g, r) for g in dataset.graphs]
 
 
+def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:
+    """``indices`` cut, in order, into runs of at most NODE_BUDGET nodes;
+    a graph larger than the budget forms a run of its own."""
+    runs = []
+    start = total = 0
+    for pos, gi in enumerate(indices):
+        nodes = dataset.graphs[gi].node_count
+        if total + nodes > NODE_BUDGET and pos > start:
+            runs.append(indices[start:pos])
+            start, total = pos, 0
+        total += nodes
+    runs.append(indices[start:])
+    return runs
+
+
+def _stack(dataset: Dataset, sps, indices, r: int):
+    """One pass's input: the graphs as one disconnected graph, their
+    stacked feature rows and their targets."""
+    graphs = [dataset.graphs[i] for i in indices]
+    sp = batch_sp_tensors([sps[i] for i in indices], r)
+    x = np.concatenate([g.features for g in graphs])
+    return sp, x, np.array([g.target for g in graphs])
+
+
+def _count(counters, phase: str, indices) -> None:
+    if counters is not None:
+        seen = counters.setdefault(phase, {})
+        for gi in indices:
+            seen[int(gi)] = seen.get(int(gi), 0) + 1
+
+
+def accumulate_gradients(model: Model, dataset: Dataset, sps, batch, r: int,
+                         rng: np.random.Generator, counters=None) -> np.ndarray:
+    """Add the summed training-mode gradients of the graphs ``batch`` to
+    the model's buffers, one sub-batch at a time; returns their losses.
+
+    Sub-batches draw their dropout masks one after the other from ``rng``,
+    so the draws do not depend on where the batch is cut.
+    """
+    losses = []
+    for run in sub_batches(dataset, batch):
+        sp, x, targets = _stack(dataset, sps, run, r)
+        loss, _, _ = model.loss_and_gradients(sp, x, targets, train_mode=True, rng=rng)
+        losses.append(loss)
+        _count(counters, "train", run)
+    return np.concatenate(losses)
+
+
 def _evaluate(model: Model, dataset: Dataset, sps, indices, counters=None,
               phase: str = "eval") -> tuple[float, float]:
     """(accuracy, mean loss) over the given graph indices, dropout off."""
     correct = 0
     total_loss = 0.0
-    for gi in indices:
-        graph = dataset.graphs[gi]
-        _, cache = model.forward(sps[gi], graph.features, train_mode=False)
-        loss, _ = softmax_cross_entropy(cache["logits"], graph.target)
-        total_loss += loss
-        if int(np.argmax(cache["logits"])) == graph.target:
-            correct += 1
-        if counters is not None:
-            counters.setdefault(phase, {}).setdefault(int(gi), 0)
-            counters[phase][int(gi)] += 1
+    for run in sub_batches(dataset, indices):
+        sp, x, targets = _stack(dataset, sps, run, distance_cutoff(model.config))
+        _, cache = model.forward(sp, x, train_mode=False)
+        losses, _ = softmax_cross_entropy(cache["logits"], targets)
+        total_loss += float(losses.sum())
+        correct += int((cache["logits"].argmax(axis=1) == targets).sum())
+        _count(counters, phase, run)
     n = len(indices)
     return correct / n, total_loss / n
+
+
+@cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy links another BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    The weight-gradient products of a batch sum over thousands of rows,
+    and with several threads their rounding depends on the thread count;
+    one thread keeps every fold reproducible, in a pool worker or not,
+    and is faster for matrices this small.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def train_one_fold(dataset: Dataset, split, config: ModelConfig,
@@ -93,7 +187,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
 
     ``split`` is the (train, validation, test) index triple.  ``counters``
     is optional instrumentation: a dict that receives per-phase counts of
-    forward passes per graph index.
+    forward passes per graph index.  Training runs with one BLAS thread
+    (:func:`single_blas_thread`).
     """
     train_idx, val_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
     n = len(dataset.graphs)
@@ -105,8 +200,9 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
         raise ConfigError("training block is missing at least one class")
 
     start = time.perf_counter()
+    r = distance_cutoff(config)
     if sps is None:
-        sps = precompute_sp_tensors(dataset, config.r)
+        sps = precompute_sp_tensors(dataset, r)
     config = with_resolved_k(config, [dataset.graphs[i].node_count for i in train_idx])
     config.validate()
 
@@ -121,43 +217,38 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     val_losses: list[float] = []
     val_accuracies: list[float] = []
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(train_idx)
-        epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo: lo + config.batch_size]
-            model.zero_gradients()
-            for gi in batch:
-                graph = dataset.graphs[gi]
-                loss, _, _ = model.loss_and_gradients(
-                    sps[gi], graph.features, graph.target,
-                    train_mode=True, rng=rng,
-                )
-                if not math.isfinite(loss):
+    with single_blas_thread():
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(train_idx)
+            epoch_loss = 0.0
+            for lo in range(0, len(order), config.batch_size):
+                batch = order[lo: lo + config.batch_size]
+                model.zero_gradients()
+                losses = accumulate_gradients(model, dataset, sps, batch, r, rng,
+                                              counters)
+                bad = np.flatnonzero(~np.isfinite(losses))
+                if bad.size:
                     raise NumericalError(
-                        f"non-finite loss on graph {gi} "
+                        f"non-finite loss on graph {batch[bad[0]]} "
                         f"(fold {fold_id}, repeat {repeat_id}, epoch {epoch})"
                     )
-                epoch_loss += loss
-                if counters is not None:
-                    counters.setdefault("train", {}).setdefault(int(gi), 0)
-                    counters["train"][int(gi)] += 1
-            model.scale_gradients(1.0 / len(batch))
-            optimizer.step(model.gradients())
-        train_losses.append(epoch_loss / len(train_idx))
+                epoch_loss += float(losses.sum())
+                model.scale_gradients(1.0 / len(batch))
+                optimizer.step(model.gradients())
+            train_losses.append(epoch_loss / len(train_idx))
 
-        val_acc, val_loss = _evaluate(model, dataset, sps, val_idx,
-                                      counters=counters, phase="val")
-        val_losses.append(val_loss)
-        val_accuracies.append(val_acc)
-        if val_acc > best_acc:  # ties keep the earliest epoch
-            best_acc = val_acc
-            best_epoch = epoch
-            best_state = model.get_state()
+            val_acc, val_loss = _evaluate(model, dataset, sps, val_idx,
+                                          counters=counters, phase="val")
+            val_losses.append(val_loss)
+            val_accuracies.append(val_acc)
+            if val_acc > best_acc:  # ties keep the earliest epoch
+                best_acc = val_acc
+                best_epoch = epoch
+                best_state = model.get_state()
 
-    model.set_state(best_state)
-    test_acc, _ = _evaluate(model, dataset, sps, test_idx,
-                            counters=counters, phase="test")
+        model.set_state(best_state)
+        test_acc, _ = _evaluate(model, dataset, sps, test_idx,
+                                counters=counters, phase="test")
     return FoldReport(
         fold_id=fold_id,
         repeat_id=repeat_id,
@@ -180,18 +271,24 @@ def _init_worker(dataset: Dataset, r: int) -> None:
     _worker_state["sps"] = precompute_sp_tensors(dataset, r)
 
 
-def _fold_task(args) -> FoldReport:
-    split, config, fold_id, repeat_id = args
-    dataset = _worker_state["dataset"]
-    sps = _worker_state["sps"]
+def _run_fold(dataset: Dataset, sps, task) -> FoldReport:
+    """Train one (split, config, fold, repeat) task and log its outcome;
+    a numerical failure becomes the fold's recorded error."""
+    split, config, fold, repeat = task
     try:
-        return train_one_fold(dataset, split, config, fold_id=fold_id,
-                              repeat_id=repeat_id, sps=sps)
+        report = train_one_fold(dataset, split, config, fold_id=fold,
+                                repeat_id=repeat, sps=sps)
     except NumericalError as exc:
-        log.error("fold %d repeat %d failed: %s", fold_id, repeat_id, exc)
-        return FoldReport(fold_id=fold_id, repeat_id=repeat_id,
-                          test_accuracy=float("nan"), best_epoch=0,
-                          error=str(exc))
+        log.error("fold %d repeat %d failed: %s", fold, repeat, exc)
+        report = FoldReport(fold_id=fold, repeat_id=repeat,
+                            test_accuracy=float("nan"), best_epoch=0, error=str(exc))
+    log.info("repeat %d fold %d: accuracy %.4f (epoch %d, %.1fs)", repeat, fold,
+             report.test_accuracy, report.best_epoch, report.wall_time_seconds)
+    return report
+
+
+def _fold_task(task) -> FoldReport:
+    return _run_fold(_worker_state["dataset"], _worker_state["sps"], task)
 
 
 def aggregate_accuracy(fold_reports: list[FoldReport]) -> tuple[float, float]:
@@ -218,32 +315,16 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
         for fold, split in enumerate(splits):
             tasks.append((split, repeat_config, fold, repeat))
 
+    r = distance_cutoff(config)
     if jobs > 1:
         # Folds are deterministic in (seed, repeat, fold), so scheduling
         # order cannot change the results.
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(dataset, config.r)) as pool:
+                                 initargs=(dataset, r)) as pool:
             fold_reports = list(pool.map(_fold_task, tasks, chunksize=1))
-        for report in fold_reports:
-            log.info("repeat %d fold %d: accuracy %.4f (epoch %d, %.1fs)",
-                     report.repeat_id, report.fold_id, report.test_accuracy,
-                     report.best_epoch, report.wall_time_seconds)
     else:
-        sps = precompute_sp_tensors(dataset, config.r)
-        fold_reports = []
-        for split, cfg, fold, repeat in tasks:
-            try:
-                report = train_one_fold(dataset, split, cfg, fold_id=fold,
-                                        repeat_id=repeat, sps=sps)
-            except NumericalError as exc:
-                log.error("fold %d repeat %d failed: %s", fold, repeat, exc)
-                report = FoldReport(fold_id=fold, repeat_id=repeat,
-                                    test_accuracy=float("nan"), best_epoch=0,
-                                    error=str(exc))
-            fold_reports.append(report)
-            log.info("repeat %d fold %d: accuracy %.4f (epoch %d, %.1fs)",
-                     repeat, fold, report.test_accuracy, report.best_epoch,
-                     report.wall_time_seconds)
+        sps = precompute_sp_tensors(dataset, r)
+        fold_reports = [_run_fold(dataset, sps, task) for task in tasks]
 
     mean, std = aggregate_accuracy(fold_reports)
     return ExperimentReport(dataset=dataset.name, config=config, folds=folds,

@@ -58,3 +58,11 @@ def path_graph(n: int, target: int, feature_dim: int = 1) -> Graph:
     features = np.zeros((n, feature_dim))
     features[:, 0] = 1.0
     return Graph(node_count=n, edges=edges, features=features, target=target)
+
+
+def sortpool_order(h: np.ndarray) -> np.ndarray:
+    """Row order of one graph under SortPool's rule, by one full lexsort:
+    every column descending, the last column most significant, then
+    ascending row index."""
+    n, c = h.shape
+    return np.lexsort((np.arange(n),) + tuple(-h[:, col] for col in range(c)))

@@ -49,6 +49,16 @@ def test_agrees_with_floyd_warshall_on_random_graphs():
             assert np.array_equal(sp.mats[j].toarray(), expected), (n, r, j)
 
 
+def test_rows_stored_sorted_without_duplicates():
+    # Propagation sums each row in stored order, so a canonical layout
+    # keeps the bits independent of the order the search visits nodes in.
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        g = random_graph(rng, n=int(rng.integers(1, 25)), edge_prob=0.3)
+        sp = compute_sp_tensor(g, r=3)
+        assert all(m.has_canonical_format for m in sp.mats)
+
+
 def test_supports_disjoint_and_cover_a_plus_i():
     rng = np.random.default_rng(3)
     for _ in range(10):
