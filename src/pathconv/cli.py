@@ -18,7 +18,7 @@ import sys
 from .data import dataset_summary, encode_degree_features, load_tu_dataset
 from .errors import ConfigError, DatasetError, NumericalError
 from .gradcheck import main_report
-from .model import ModelConfig
+from .model import MODES, ModelConfig
 from .training import emit_report, format_summary, run_experiment
 
 log = logging.getLogger(__name__)
@@ -47,8 +47,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"--k must be an integer or 'auto', got {args.k!r}")
     else:
         k = None
-    mode = "parametric" if args.mode == "parametric" else "dgcnn_baseline"
-    config = ModelConfig(r=args.r, mode=mode, sortpool_k=k, epochs=args.epochs,
+    config = ModelConfig(r=args.r, mode=args.mode, sortpool_k=k, epochs=args.epochs,
                          seed=args.seed)
     report = run_experiment(dataset, config, folds=args.folds,
                             repeats=args.repeats, jobs=args.jobs)
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run a nested cross-validation experiment")
     train.add_argument("--dataset", required=True, help="dataset name, e.g. MUTAG")
     train.add_argument("--data-dir", required=True, help="directory with the dataset files")
-    train.add_argument("--mode", choices=("parametric", "dgcnn"), default="parametric")
+    train.add_argument("--mode", choices=MODES, default="parametric")
     train.add_argument("--r", type=int, default=2, help="maximum propagation distance")
     train.add_argument("--folds", type=int, default=10)
     train.add_argument("--repeats", type=int, default=10)

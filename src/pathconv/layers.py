@@ -112,19 +112,20 @@ class JointConv:
         """``out``, if given, is the (nodes, out_width) array to write into."""
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
-        degrees = np.diff(sp.mats[1].indptr)  # exact: one stored entry per neighbor
-        norm = 1.0 / (1 + degrees)  # self-contribution keeps every row sum >= 1
-        mean = norm[:, None] * (h + sp.mats[1] @ h)
+        # Neighbor count, exact: one stored entry per neighbor.
+        d = np.diff(sp.mats[1].indptr)[:, None]
+        norm = 1.0 / (1 + d)  # self-contribution keeps every row sum >= 1
+        mean = norm * (h + d * propagate(sp, 1, h))
         act = np.tanh(mean @ self.weight, out=out)
-        return act, (sp, norm, h, act)
+        return act, (sp, d, norm, h, act)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
         """Returns the input gradient, or None when ``input_grad`` is off.
         As in :class:`DistanceConv`, the mean's transpose acts on the
         c_out-wide gradient."""
-        sp, norm, h, act = cache
-        scaled = norm[:, None] * (dout * (1.0 - act ** 2))
-        back = scaled + sp.mats[1] @ scaled  # transpose of (I + A) with joint row norm
+        sp, d, norm, h, act = cache
+        s = norm * (dout * (1.0 - act ** 2))
+        back = s + propagate_transpose(sp, 1, d * s)  # (I + D P_1)^T, joint row norm
         self.grad_weight += h.T @ back
         return back @ self.weight.T if input_grad else None
 

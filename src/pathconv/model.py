@@ -37,6 +37,10 @@ from .shortest_paths import SPTensor
 
 MODES = ("parametric", "dgcnn_baseline")
 
+# Kernel width and stride of the second read-out convolution.
+CONV2_WIDTH = 5
+CONV2_STRIDE = 1
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -57,15 +61,10 @@ class ModelConfig:
     sortpool_k: int | None = None
     conv1_filters: int = 16
     conv2_filters: int = 32
-    conv2_width: int = 5
-    conv2_stride: int = 1
     dense_width: int = 128
     dropout_rate: float = 0.5
     mode: str = "parametric"
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 300
     batch_size: int = 50
     seed: int = 1
@@ -79,16 +78,12 @@ class ModelConfig:
             raise ConfigError("need at least one graph convolution layer")
         if self.channels < 1 or self.conv1_filters < 1 or self.conv2_filters < 1:
             raise ConfigError("channel and filter counts must be positive")
-        if self.conv2_width < 1 or self.conv2_stride < 1:
-            raise ConfigError("conv widths and strides must be positive")
         if self.sortpool_k is not None and self.sortpool_k < 1:
             raise ConfigError(f"sortpool_k must be positive, got {self.sortpool_k}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ConfigError("learning rate and epsilon must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning rate must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch size >= 1")
 
@@ -112,7 +107,7 @@ def resolve_sortpool_k(config: ModelConfig, node_counts: list[int]) -> int:
         raise ConfigError("cannot derive sortpool_k from an empty training set")
     counts = sorted(node_counts, reverse=True)
     k = counts[math.ceil(0.6 * len(counts)) - 1]
-    return max(k, 2 * config.conv2_width)
+    return max(k, 2 * CONV2_WIDTH)
 
 
 class Model:
@@ -154,16 +149,15 @@ class Model:
         self.relu1 = ReLU()
         self.pool = MaxPool1D(width=2, stride=2)
         self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters,
-                            width=config.conv2_width, stride=config.conv2_stride,
-                            rng=rng)
+                            width=CONV2_WIDTH, stride=CONV2_STRIDE, rng=rng)
         self.relu2 = ReLU()
 
         pooled_len = self.pool.out_length(k) if k >= 2 else 0
-        if k < 2 or pooled_len < config.conv2_width:
+        if k < 2 or pooled_len < CONV2_WIDTH:
             raise ConfigError(
                 f"sortpool_k={k} leaves a read-out signal shorter than the "
-                f"second convolution kernel (width {config.conv2_width}); "
-                f"need k >= {2 * config.conv2_width}"
+                f"second convolution kernel (width {CONV2_WIDTH}); "
+                f"need k >= {2 * CONV2_WIDTH}"
             )
         conv2_len = self.conv2.out_length(pooled_len)
         self.dense1 = Dense(conv2_len * config.conv2_filters, config.dense_width, rng)
@@ -290,9 +284,7 @@ class Model:
             np.copyto(p, s)
 
     def make_optimizer(self) -> Adam:
-        return Adam(self.parameters(), lr=self.config.learning_rate,
-                    beta1=self.config.beta1, beta2=self.config.beta2,
-                    epsilon=self.config.epsilon)
+        return Adam(self.parameters(), lr=self.config.learning_rate)
 
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model,

@@ -1,11 +1,14 @@
-"""Shortest-path indicator matrices and mean-over-distance propagation.
+"""Row-normalized shortest-path operators and mean-over-distance propagation.
 
-For a graph with n nodes and a cutoff r, the engine builds one binary
-n x n matrix per distance j in 0..r whose (i, k) entry is 1 exactly when
-the shortest-path distance between i and k is j.  Distance 0 is the
-identity, distance 1 the adjacency matrix, and the supports of the
-matrices are pairwise disjoint.  Propagation at distance j replaces each
-node's row by the mean over its distance-j neighbors.
+For a graph with n nodes and a cutoff r, the engine builds one sparse
+n x n operator P_j = D_j^-1 S_j per distance j in 0..r.  S_j is the
+binary matrix whose (i, k) entry is 1 exactly when the shortest-path
+distance between i and k is j, and D_j holds its row counts, so row i of
+P_j stores 1 / (number of nodes at distance j from i) at each of those
+nodes.  P_0 is the identity, P_1 has the support of the adjacency
+matrix, and the supports of the operators are pairwise disjoint.
+Propagation at distance j, P_j @ h, replaces each node's row by the mean
+over its distance-j neighbors.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from .data import Graph
 
 @dataclass(frozen=True)
 class SPTensor:
-    """Per-distance indicator matrices for one graph, plus row normalizers.
+    """Per-distance propagation operators for one graph.
 
-    ``mats[j]`` is the sparse binary matrix of pairs at distance exactly j;
-    ``inv_degrees[j][i]`` is 1 / (row sum of mats[j] row i), or 0 when node
-    i has no distance-j neighbor.  Immutable after construction.
+    ``mats[j]`` is the CSR operator P_j: row i stores 1 / c at each of
+    the c nodes at distance exactly j from node i, in ascending column
+    order, and is empty when there is none.  Immutable after
+    construction.
 
     A tensor from :func:`batch_sp_tensors` describes several graphs as one
     disconnected graph: ``graph_sizes`` lists their node counts in row
@@ -34,7 +38,6 @@ class SPTensor:
 
     r: int
     mats: tuple[sparse.csr_matrix, ...]
-    inv_degrees: tuple[np.ndarray, ...]
     graph_sizes: tuple[int, ...] | None = None
 
     @property
@@ -48,8 +51,8 @@ class SPTensor:
 
 
 def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
-    """Build the distance matrices SP^0..SP^r with one depth-limited
-    breadth-first visit per node.
+    """Build the operators P_0..P_r with one depth-limited breadth-first
+    visit per node.
 
     Pairs at distance greater than r (including disconnected pairs) appear
     in no matrix.  Worst case O(n * (n + m)) per graph; the depth bound
@@ -81,18 +84,13 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
             frontier = nxt
 
     mats = [sparse.identity(n, format="csr")]
-    inv_degrees = [np.ones(n)]
     for j in range(1, r + 1):
         row_counts = np.array(counts[j])
         indptr = np.concatenate(([0], np.cumsum(row_counts)))
+        data = 1.0 / np.repeat(row_counts, row_counts)  # 1 / c, c times per row
         mats.append(sparse.csr_matrix(
-            (np.ones(len(cols[j])), np.array(cols[j], dtype=np.int32), indptr),
-            shape=(n, n)))
-        inv = np.zeros(n)
-        nz = row_counts > 0
-        inv[nz] = 1.0 / row_counts[nz]
-        inv_degrees.append(inv)
-    return SPTensor(r=r, mats=tuple(mats), inv_degrees=tuple(inv_degrees))
+            (data, np.array(cols[j], dtype=np.int32), indptr), shape=(n, n)))
+    return SPTensor(r=r, mats=tuple(mats))
 
 
 def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
@@ -117,10 +115,7 @@ def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
             [m.indices + base for m, base in zip(parts, row_offsets)])
         data = np.concatenate([m.data for m in parts])
         mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-    inv_degrees = tuple(np.concatenate([sp.inv_degrees[j] for sp in sps])
-                        for j in range(r + 1))
-    return SPTensor(r=r, mats=tuple(mats), inv_degrees=inv_degrees,
-                    graph_sizes=sizes)
+    return SPTensor(r=r, mats=tuple(mats), graph_sizes=sizes)
 
 
 def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
@@ -132,19 +127,16 @@ def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
     if h.shape[0] != sp.node_count:
         raise ValueError(f"h has {h.shape[0]} rows, graph has {sp.node_count} nodes")
-    if j == 0:  # distance 0 is the identity
-        return h.copy()
-    return sp.inv_degrees[j][:, None] * (sp.mats[j] @ h)
+    return sp.mats[j] @ h
 
 
 def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
-    """Apply the transpose of the distance-j propagation operator.
-
-    The operator is D^-1 S with S symmetric, so its transpose is S D^-1;
+    """Apply P_j^T, the transpose of the distance-j propagation operator;
     this is what backpropagation through :func:`propagate` needs.
+
+    P_j^T = S_j D_j^-1, since S_j is symmetric: row i sums (1 / c_k) g_k
+    over the nodes k at distance j from i, in ascending k.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
-    if j == 0:
-        return h.copy()
-    return sp.mats[j] @ (sp.inv_degrees[j][:, None] * h)
+    return sp.mats[j].T @ h

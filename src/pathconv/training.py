@@ -261,14 +261,14 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     )
 
 
-# Worker-process state: the dataset is shipped once per worker instead of
-# once per task, and each worker precomputes its shortest-path tensors.
+# Worker-process state: the dataset and its shortest-path tensors are
+# shipped once per worker instead of once per task.
 _worker_state: dict = {}
 
 
-def _init_worker(dataset: Dataset, r: int) -> None:
+def _init_worker(dataset: Dataset, sps: list[SPTensor]) -> None:
     _worker_state["dataset"] = dataset
-    _worker_state["sps"] = precompute_sp_tensors(dataset, r)
+    _worker_state["sps"] = sps
 
 
 def _run_fold(dataset: Dataset, sps, task) -> FoldReport:
@@ -315,15 +315,14 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
         for fold, split in enumerate(splits):
             tasks.append((split, repeat_config, fold, repeat))
 
-    r = distance_cutoff(config)
+    sps = precompute_sp_tensors(dataset, distance_cutoff(config))
     if jobs > 1:
         # Folds are deterministic in (seed, repeat, fold), so scheduling
         # order cannot change the results.
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(dataset, r)) as pool:
+                                 initargs=(dataset, sps)) as pool:
             fold_reports = list(pool.map(_fold_task, tasks, chunksize=1))
     else:
-        sps = precompute_sp_tensors(dataset, r)
         fold_reports = [_run_fold(dataset, sps, task) for task in tasks]
 
     mean, std = aggregate_accuracy(fold_reports)

@@ -31,6 +31,13 @@ def indicator_from_distances(dist: np.ndarray, j: int) -> np.ndarray:
     return (dist == j).astype(float)
 
 
+def normalized_from_distances(dist: np.ndarray, j: int) -> np.ndarray:
+    """Dense row-normalized operator at distance j: the indicator with
+    each row divided by its entry count; rows without entries stay zero."""
+    ind = indicator_from_distances(dist, j)
+    return ind / np.maximum(ind.sum(axis=1, keepdims=True), 1.0)
+
+
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float,
                  feature_dim: int = 3, target: int = 0) -> Graph:
     """Erdos-Renyi style graph with one-hot features."""

@@ -25,7 +25,7 @@ from pathconv.layers import concat_layers
 from pathconv.model import Model
 
 from conftest import require_benchmark
-from oracles import floyd_warshall_distances, indicator_from_distances, random_graph
+from oracles import floyd_warshall_distances, normalized_from_distances, random_graph
 from test_model import build, permute_graph
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
@@ -146,7 +146,7 @@ def test_shortest_path_oracle():
         dist = floyd_warshall_distances(n, g.edges)
         for j in range(r + 1):
             assert np.array_equal(sp.mats[j].toarray(),
-                                  indicator_from_distances(dist, j)), (trial, j)
+                                  normalized_from_distances(dist, j)), (trial, j)
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0, f"oracle comparison took {elapsed:.1f}s > 10s"
     _passed("shortest-path-oracle", f"200 graphs in {elapsed:.1f}s")

@@ -154,8 +154,6 @@ class TestBatchSpTensors:
         for j in range(3):
             expected = sparse.block_diag([sp.mats[j] for sp in sps]).toarray()
             assert np.array_equal(batched.mats[j].toarray(), expected)
-            assert np.array_equal(batched.inv_degrees[j],
-                                  np.concatenate([sp.inv_degrees[j] for sp in sps]))
 
     def test_propagation_is_bitwise_per_graph(self):
         rng = np.random.default_rng(4)

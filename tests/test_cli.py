@@ -51,7 +51,7 @@ class TestTrain:
     def test_dgcnn_mode(self, toy_tu_dir, tmp_path):
         out_dir = tmp_path / "run"
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
-                     "--mode", "dgcnn", "--folds", "3", "--repeats", "1",
+                     "--mode", "dgcnn_baseline", "--folds", "3", "--repeats", "1",
                      "--epochs", "1", "--k", "10", "--out", str(out_dir)])
         assert code == 0
         assert "dgcnn_baseline" in (out_dir / "folds.csv").read_text()

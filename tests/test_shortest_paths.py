@@ -1,11 +1,29 @@
-"""Distance-matrix construction checked against a Floyd-Warshall oracle."""
+"""Distance-operator construction checked against a Floyd-Warshall oracle."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pathconv import Graph, compute_sp_tensor, propagate
+from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
 
-from oracles import floyd_warshall_distances, indicator_from_distances, random_graph, path_graph
+from oracles import (
+    floyd_warshall_distances,
+    indicator_from_distances,
+    normalized_from_distances,
+    path_graph,
+    random_graph,
+)
+
+
+def support(m) -> np.ndarray:
+    """Dense 0/1 pattern of the stored entries of a sparse matrix."""
+    return (m.toarray() != 0).astype(float)
+
+
+def stored_rows(m) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
 
 
 def test_path_graph_distance_two():
@@ -25,15 +43,18 @@ def test_r_zero_is_identity_only():
 def test_distance_one_equals_adjacency():
     g = random_graph(np.random.default_rng(1), n=10, edge_prob=0.3)
     sp = compute_sp_tensor(g, r=1)
-    assert np.array_equal(sp.mats[1].toarray(), g.adjacency())
+    adjacency = g.adjacency()
+    assert np.array_equal(support(sp.mats[1]), adjacency)
+    degree = adjacency.sum(axis=1)
+    assert np.array_equal(sp.mats[1].data, 1.0 / degree[stored_rows(sp.mats[1])])
 
 
 def test_matrices_symmetric():
     g = random_graph(np.random.default_rng(2), n=12, edge_prob=0.25)
     sp = compute_sp_tensor(g, r=3)
     for m in sp.mats:
-        dense = m.toarray()
-        assert np.array_equal(dense, dense.T)
+        pattern = support(m)
+        assert np.array_equal(pattern, pattern.T)
 
 
 def test_agrees_with_floyd_warshall_on_random_graphs():
@@ -45,7 +66,7 @@ def test_agrees_with_floyd_warshall_on_random_graphs():
         sp = compute_sp_tensor(g, r)
         dist = floyd_warshall_distances(n, g.edges)
         for j in range(r + 1):
-            expected = indicator_from_distances(dist, j)
+            expected = normalized_from_distances(dist, j)
             assert np.array_equal(sp.mats[j].toarray(), expected), (n, r, j)
 
 
@@ -64,9 +85,9 @@ def test_supports_disjoint_and_cover_a_plus_i():
     for _ in range(10):
         g = random_graph(rng, n=12, edge_prob=0.3)
         sp = compute_sp_tensor(g, r=3)
-        total = sum(m.toarray() for m in sp.mats)
+        total = sum(support(m) for m in sp.mats)
         assert total.max() <= 1.0  # pairwise disjoint supports
-        a_tilde = (sp.mats[0] + sp.mats[1]).toarray()
+        a_tilde = support(sp.mats[0]) + support(sp.mats[1])
         assert np.array_equal(a_tilde, g.adjacency() + np.eye(g.node_count))
 
 
@@ -74,12 +95,42 @@ def test_inverse_degrees_exact():
     rng = np.random.default_rng(4)
     g = random_graph(rng, n=15, edge_prob=0.3)
     sp = compute_sp_tensor(g, r=3)
+    dist = floyd_warshall_distances(g.node_count, g.edges)
     for j, m in enumerate(sp.mats):
-        rowsum = np.asarray(m.sum(axis=1)).ravel()
-        inv = sp.inv_degrees[j]
-        nz = rowsum > 0
-        assert np.all(inv[nz] * rowsum[nz] == 1.0)  # exact, not approximate
-        assert np.all(inv[~nz] == 0.0)
+        count = indicator_from_distances(dist, j).sum(axis=1)
+        assert np.all(m.data == 1.0 / count[stored_rows(m)])  # exact, not approximate
+
+
+def transpose_oracle(dist: np.ndarray, j: int, g: np.ndarray) -> np.ndarray:
+    """S_j @ (D_j^-1 g) with S_j built from the oracle indicator."""
+    ind = indicator_from_distances(dist, j)
+    inv = 1.0 / np.maximum(ind.sum(axis=1), 1.0)
+    return sparse.csr_matrix(ind) @ (inv[:, None] * g)
+
+
+def test_transpose_bitwise_equals_indicator_formula():
+    """P_j^T g gives the bits of S_j @ (D_j^-1 g), on single graphs with
+    isolated nodes and on batched tensors."""
+    rng = np.random.default_rng(9)
+    isolated = Graph(5, frozenset({(1, 3)}), np.ones((5, 1)), 0)
+    for _ in range(30):
+        graphs = [random_graph(rng, n=int(rng.integers(1, 16)), edge_prob=0.2)
+                  for _ in range(2)] + [isolated]
+        dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
+        for r in range(4):
+            sps = [compute_sp_tensor(g, r) for g in graphs]
+            batched = batch_sp_tensors(sps, r)
+            grad = rng.normal(size=(batched.node_count, 3))
+            bounds = batched.offsets
+            for j in range(r + 1):
+                for sp, dist, lo, hi in zip(sps, dists, bounds[:-1], bounds[1:]):
+                    assert np.array_equal(propagate_transpose(sp, j, grad[lo:hi]),
+                                          transpose_oracle(dist, j, grad[lo:hi]))
+                block = np.full((batched.node_count,) * 2, np.inf)
+                for dist, lo, hi in zip(dists, bounds[:-1], bounds[1:]):
+                    block[lo:hi, lo:hi] = dist
+                assert np.array_equal(propagate_transpose(batched, j, grad),
+                                      transpose_oracle(block, j, grad))
 
 
 def test_pairs_beyond_r_absent():
