@@ -145,6 +145,12 @@ class SortPool:
     top k rows are kept; zero rows are appended when the graph has fewer
     than k nodes.  The returned record maps output rows to source nodes
     for gradient routing.
+
+    Rows tied on the last column are ordered by one stable sort over byte
+    keys: the id of their tied run, then the earlier columns from right to
+    left, each float mapped to an integer whose unsigned order is
+    descending float order.  They reach that sort in ascending index
+    order, so rows tied on every column keep it.
     """
 
     def __init__(self, k: int):
@@ -164,9 +170,19 @@ class SortPool:
         graph, last = graph[order], h[order, c - 1]
         tied = (graph[1:] == graph[:-1]) & (last[1:] == last[:-1])
         if tied.any():  # refine runs of rows tied on the last column
-            edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
-            for lo, hi in zip(edges[::2], edges[1::2] + 1):
-                order[lo:hi] = tie_order(h, order[lo:hi])
+            new = np.concatenate(([True], ~tied))  # position starts a run
+            pos = np.flatnonzero(~(new & np.append(new[1:], True)))  # runs of 2+
+            rows = order[pos]
+            # Descending float order as unsigned integer order: flip all but
+            # the sign bit of non-negative values.  + 0.0 turns -0.0 into
+            # 0.0 so the two compare equal.
+            x = (h[rows, -2::-1] + 0.0).view(np.int64)
+            x ^= ~(x >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+            # Big-endian bytes compare in the order of the integers, and
+            # numpy compares unstructured void values bytewise.
+            keys = np.concatenate((np.cumsum(new)[pos, None], x), axis=1)
+            keys = keys.byteswap().view(f"V{8 * c}").ravel()
+            order[pos] = rows[np.argsort(keys, kind="stable")]
         rank = np.arange(n) - bounds[graph]
         kept = np.zeros(n, dtype=bool)
         kept[order] = rank < self.k
@@ -184,18 +200,6 @@ class SortPool:
         dh = dout.reshape(-1, shape[-1])[np.where(kept, slot, 0)]
         dh[~kept] = 0.0
         return dh
-
-
-def tie_order(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows`` (ascending, tied on the last column of ``h``) in SortPool
-    order: earlier columns descending from right to left, then index.
-
-    Python's list comparison stops at the first differing column, which
-    is cheaper than sorting on every column of a wide row, and its sort
-    is stable, so fully tied rows keep their ascending order.
-    """
-    keys = (-h[rows, :-1][:, ::-1]).tolist()
-    return rows[sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 class Conv1D:

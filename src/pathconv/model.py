@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -317,12 +317,18 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"]))
+        unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
         config = ModelConfig(**meta["config"])
         model = Model(config, meta["feature_dim"], meta["num_classes"])
         for name, p in model.parameters():
+            if name not in data:
+                raise ConfigError(f"checkpoint lacks parameter {name}")
             stored = data[name]
             if stored.shape != p.shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
+                raise ConfigError(f"checkpoint shape mismatch for {name}: "
+                                  f"{stored.shape}, model has {p.shape}")
             np.copyto(p, stored)
     return model
 

@@ -9,12 +9,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import pathconv.training as training
 from pathconv import Dataset, Graph, NumericalError, compute_sp_tensor, train_one_fold
 from pathconv.gradcheck import run_all
-from pathconv.layers import SortPool, tie_order
+from pathconv.layers import SortPool
 from pathconv.model import distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, propagate, propagate_transpose
 from pathconv.training import (
@@ -180,20 +182,29 @@ class TestBatchSpTensors:
         assert np.array_equal(single.offsets, [0, 4])
 
 
-class TestSortPoolTies:
-    def test_tie_order_matches_lexsort_rule(self):
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            n = int(rng.integers(2, 25))
-            c = int(rng.integers(2, 6))
-            h = rng.integers(-1, 2, size=(n, c)).astype(float)  # tie-heavy
-            h[rng.random(size=(n, c)) < 0.1] = -0.0
-            last = h[:, -1]
-            for value in np.unique(last):
-                rows = np.flatnonzero(last == value)
-                expected = [i for i in sortpool_order(h) if last[i] == value]
-                assert tie_order(h, rows).tolist() == expected
+# Zero, a subnormal, tiny, unit and huge values and infinity, each of
+# either sign: every float class whose bits a sort key could misorder.
+EDGE_MAGNITUDES = [0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf]
 
+
+@st.composite
+def pooled_batches(draw):
+    """(h, offsets, k): a batch cut into graphs at random rows.  Entries
+    take a few magnitudes with random signs, so that rows tie often and
+    -0.0 meets 0.0."""
+    n = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 8))
+    palette = draw(st.lists(st.sampled_from(EDGE_MAGNITUDES), min_size=1, max_size=3))
+    entries = st.lists(st.sampled_from(palette), min_size=n * c, max_size=n * c)
+    magnitude = np.array(draw(entries)).reshape(n, c)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c)))
+    h = np.where(negative.reshape(n, c), -magnitude, magnitude)
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    k = draw(st.integers(1, n + 2))
+    return h, np.array([0, *sorted(cuts), n]), k
+
+
+class TestSortPoolTies:
     @staticmethod
     def node_to_row(layer, h, offsets=None):
         """Output row of every node (-1 when dropped), read off the backward
@@ -204,6 +215,33 @@ class TestSortPoolTies:
         flat[:, 0] = np.arange(flat.shape[0]) + 1
         return layer.backward(record, dout)[:, 0].astype(int) - 1
 
+    def test_tie_order_matches_lexsort_rule(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(2, 25))
+            c = int(rng.integers(2, 6))
+            h = rng.integers(-1, 2, size=(n, c)).astype(float)  # tie-heavy
+            h[rng.random(size=(n, c)) < 0.1] = -0.0
+            rows = self.node_to_row(SortPool(n), h)
+            assert np.array_equal(rows[sortpool_order(h)], np.arange(n))
+
+    def check_per_graph(self, h, offsets, k):
+        """Every graph of the batch pooled as the oracle orders it alone."""
+        layer = SortPool(k)
+        rows = self.node_to_row(layer, h, offsets)
+        out, _ = layer.forward(h, offsets=offsets)
+        assert out.shape == (len(offsets) - 1, k, h.shape[1])
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            order = lo + sortpool_order(h[lo:hi])
+            kept = order[:k]
+            assert np.array_equal(rows[kept], b * k + np.arange(kept.size))
+            assert np.all(rows[order[k:]] == -1)
+            assert np.array_equal(out[b, :kept.size], h[kept])
+            assert not out[b, kept.size:].any()
+            # Alone, the graph is pooled identically.
+            single, _ = layer.forward(h[lo:hi])
+            assert np.array_equal(single, out[b])
+
     def test_batched_order_matches_lexsort_rule_per_graph(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -211,20 +249,12 @@ class TestSortPoolTies:
             offsets = np.concatenate([[0], np.cumsum(sizes)])
             k = int(rng.integers(1, 10))
             h = rng.integers(0, 2, size=(offsets[-1], 3)).astype(float)
-            layer = SortPool(k)
-            rows = self.node_to_row(layer, h, offsets)
-            out, _ = layer.forward(h, offsets=offsets)
-            assert out.shape == (len(sizes), k, 3)
-            for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-                order = lo + sortpool_order(h[lo:hi])
-                kept = order[:k]
-                assert np.array_equal(rows[kept], b * k + np.arange(kept.size))
-                assert np.all(rows[order[k:]] == -1)
-                assert np.array_equal(out[b, :kept.size], h[kept])
-                assert not out[b, kept.size:].any()
-                # Alone, the graph is pooled identically.
-                single, _ = layer.forward(h[lo:hi])
-                assert np.array_equal(single, out[b])
+            self.check_per_graph(h, offsets, k)
+
+    @settings(derandomize=True, deadline=None)
+    @given(pooled_batches())
+    def test_order_matches_lexsort_rule_on_edge_values(self, batch):
+        self.check_per_graph(*batch)
 
 
 class TestInputGradient:

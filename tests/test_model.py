@@ -1,5 +1,7 @@
 """Whole-network behavior: shapes, invariances, determinism, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,39 @@ class TestCheckpoint:
             assert name == name2
             assert p.dtype == q.dtype
             assert np.array_equal(p, q)
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Save a checkpoint, let ``edit`` change its entries, write it back."""
+        save_checkpoint(build(seed=9), path)
+        with np.load(path) as data:
+            entries = dict(data)
+        meta = json.loads(str(entries["__meta__"]))
+        edit(meta, entries)
+        entries["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **entries)
+
+    def test_unknown_config_key_is_config_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta["config"].update(conv2_width=5))
+        with pytest.raises(ConfigError, match="conv2_width"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_is_config_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.pop("dense2.bias"))
+        with pytest.raises(ConfigError, match="dense2.bias"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_is_config_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+
+        def truncate(_, entries):
+            entries["conv1.kernel"] = entries["conv1.kernel"][:-1]
+
+        self.rewrite(path, truncate)
+        with pytest.raises(ConfigError, match="conv1.kernel"):
+            load_checkpoint(path)
 
 
 class TestBuildErrors:
