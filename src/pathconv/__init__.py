@@ -10,7 +10,7 @@ from .data import (
     stratified_folds,
 )
 from .errors import ConfigError, DatasetError, NumericalError
-from .layers import Adam, concat_layers, softmax_cross_entropy
+from .layers import Adam, softmax_cross_entropy
 from .model import (
     Model,
     ModelConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "NumericalError",
     "SPTensor",
     "compute_sp_tensor",
-    "concat_layers",
     "dataset_summary",
     "emit_report",
     "encode_degree_features",

@@ -5,9 +5,10 @@ layer output, or the model's cross-entropy loss), computes the analytic
 gradient through ``backward`` and compares it against central differences
 with step 1e-6 in 64-bit.  Inputs feeding the sorting and max-pooling
 layers are constructed with well-separated keys so the objective is
-smooth in the checked neighborhood.  Layers after the graph convolutions
-are checked on batches, and the model both on one graph and on a batch
-of three.
+smooth in the checked neighborhood.  Every layer goes through one
+routine, :func:`check_layer`.  Layers after the graph convolutions are
+checked on batches, and the model both on one graph and on a batch of
+three.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .layers import (
     DistanceConv,
     JointConv,
     MaxPool1D,
+    ReLU,
     SortPool,
     softmax_cross_entropy,
 )
@@ -76,10 +78,28 @@ def _test_graph(rng: np.random.Generator, n: int = 7) -> Graph:
     return Graph(node_count=n, edges=frozenset(edges), features=features, target=0)
 
 
-def _projection_objective(layer_forward, projection):
+def check_layer(label: str, layer, forward, x: np.ndarray,
+                projection: np.ndarray) -> list[CheckResult]:
+    """Gradients of the objective <forward() output, projection> in every
+    parameter of ``layer`` and in its input ``x``.  ``forward`` calls the
+    layer on ``x`` and returns its (output, cache) pair."""
+    _, cache = forward()
+    params = getattr(layer, "parameters", list)()
+    grads = getattr(layer, "gradients", list)()
+    for _, g in grads:
+        g[...] = 0.0
+    dx = layer.backward(cache, projection.copy())
+
     def objective():
-        return float((layer_forward() * projection).sum())
-    return objective
+        return float((forward()[0] * projection).sum())
+
+    results = [CheckResult(f"{label}.{name}",
+                           relative_error(g, central_difference(objective, p)), LAYER_TOL)
+               for (name, p), (_, g) in zip(params, grads)]
+    results.append(CheckResult(f"{label}.input",
+                               relative_error(dx, central_difference(objective, x)),
+                               LAYER_TOL))
+    return results
 
 
 def check_distance_conv(seed: int = 0) -> list[CheckResult]:
@@ -89,22 +109,7 @@ def check_distance_conv(seed: int = 0) -> list[CheckResult]:
     layer = DistanceConv(r=2, c_in=3, c_out=4, rng=rng)
     h = rng.normal(size=(graph.node_count, 3))
     projection = rng.normal(size=(graph.node_count, layer.out_width))
-
-    out, cache = layer.forward(sp, h)
-    for _, g in layer.gradients():
-        g[...] = 0.0
-    dh = layer.backward(cache, projection.copy())
-
-    objective = _projection_objective(lambda: layer.forward(sp, h)[0], projection)
-    results = []
-    for (name, p), (_, g) in zip(layer.parameters(), layer.gradients()):
-        numeric = central_difference(objective, p)
-        results.append(CheckResult(f"distance_conv.{name}", relative_error(g, numeric),
-                                   LAYER_TOL))
-    numeric = central_difference(objective, h)
-    results.append(CheckResult("distance_conv.input", relative_error(dh, numeric),
-                               LAYER_TOL))
-    return results
+    return check_layer("distance_conv", layer, lambda: layer.forward(sp, h), h, projection)
 
 
 def check_joint_conv(seed: int = 1) -> list[CheckResult]:
@@ -114,20 +119,7 @@ def check_joint_conv(seed: int = 1) -> list[CheckResult]:
     layer = JointConv(c_in=3, c_out=4, rng=rng)
     h = rng.normal(size=(graph.node_count, 3))
     projection = rng.normal(size=(graph.node_count, 4))
-
-    _, cache = layer.forward(sp, h)
-    layer.grad_weight[...] = 0.0
-    dh = layer.backward(cache, projection.copy())
-
-    objective = _projection_objective(lambda: layer.forward(sp, h)[0], projection)
-    results = [CheckResult("joint_conv.w",
-                           relative_error(layer.grad_weight,
-                                          central_difference(objective, layer.weight)),
-                           LAYER_TOL)]
-    results.append(CheckResult("joint_conv.input",
-                               relative_error(dh, central_difference(objective, h)),
-                               LAYER_TOL))
-    return results
+    return check_layer("joint_conv", layer, lambda: layer.forward(sp, h), h, projection)
 
 
 def _separated_rows(rng: np.random.Generator, n: int, c: int,
@@ -145,52 +137,30 @@ def check_sortpool(seed: int = 2) -> list[CheckResult]:
     h = np.vstack([_separated_rows(rng, n=6, c=3), _separated_rows(rng, n=3, c=3)])
     offsets = np.array([0, 6, 9])
     projection = rng.normal(size=(2, 4, 3))
-
-    _, record = layer.forward(h, offsets=offsets)
-    dh = layer.backward(record, projection.copy())
-    objective = _projection_objective(lambda: layer.forward(h, offsets=offsets)[0],
-                                      projection)
-    numeric = central_difference(objective, h)
-    return [CheckResult("sortpool.input", relative_error(dh, numeric), LAYER_TOL)]
+    return check_layer("sortpool", layer, lambda: layer.forward(h, offsets=offsets),
+                       h, projection)
 
 
 def check_conv1d(seed: int = 3) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
-    for label, width, stride, c_in in (("tiled", 4, 4, 1), ("sliding", 5, 1, 3)):
-        layer = Conv1D(c_in=c_in, filters=3, width=width, stride=stride, rng=rng)
+    for label, width, c_in in (("pointwise", 1, 4), ("sliding", 5, 3)):
+        layer = Conv1D(c_in=c_in, filters=3, width=width, rng=rng)
         x = rng.normal(size=(2, 16, c_in))
-        t_out = layer.out_length(16)
-        projection = rng.normal(size=(2, t_out, 3))
-
-        _, cache = layer.forward(x)
-        for _, g in layer.gradients():
-            g[...] = 0.0
-        dx = layer.backward(cache, projection.copy())
-        objective = _projection_objective(lambda: layer.forward(x)[0], projection)
-        for (name, p), (_, g) in zip(layer.parameters(), layer.gradients()):
-            numeric = central_difference(objective, p)
-            results.append(CheckResult(f"conv1d[{label}].{name}",
-                                       relative_error(g, numeric), LAYER_TOL))
-        numeric = central_difference(objective, x)
-        results.append(CheckResult(f"conv1d[{label}].input",
-                                   relative_error(dx, numeric), LAYER_TOL))
+        projection = rng.normal(size=(2, layer.out_length(16), 3))
+        results += check_layer(f"conv1d[{label}]", layer, lambda: layer.forward(x),
+                               x, projection)
     return results
 
 
 def check_maxpool(seed: int = 4) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    layer = MaxPool1D(width=2, stride=2)
-    # Separate window entries so the argmax is stable under the FD step.
+    layer = MaxPool1D()
+    # Separate pair entries so the argmax is stable under the FD step.
     x = (rng.permutation(2 * 12 * 3).reshape(2, 12, 3) * 0.05
          + rng.uniform(0, 0.01, (2, 12, 3)))
     projection = rng.normal(size=(2, 6, 3))
-
-    _, cache = layer.forward(x)
-    dx = layer.backward(cache, projection.copy())
-    objective = _projection_objective(lambda: layer.forward(x)[0], projection)
-    numeric = central_difference(objective, x)
-    return [CheckResult("maxpool.input", relative_error(dx, numeric), LAYER_TOL)]
+    return check_layer("maxpool", layer, lambda: layer.forward(x), x, projection)
 
 
 def check_dense(seed: int = 5) -> list[CheckResult]:
@@ -198,20 +168,7 @@ def check_dense(seed: int = 5) -> list[CheckResult]:
     layer = Dense(c_in=7, c_out=4, rng=rng)
     x = rng.normal(size=(3, 7))
     projection = rng.normal(size=(3, 4))
-
-    _, cache = layer.forward(x)
-    for _, g in layer.gradients():
-        g[...] = 0.0
-    dx = layer.backward(cache, projection.copy())
-    objective = _projection_objective(lambda: layer.forward(x)[0], projection)
-    results = []
-    for (name, p), (_, g) in zip(layer.parameters(), layer.gradients()):
-        numeric = central_difference(objective, p)
-        results.append(CheckResult(f"dense.{name}", relative_error(g, numeric),
-                                   LAYER_TOL))
-    numeric = central_difference(objective, x)
-    results.append(CheckResult("dense.input", relative_error(dx, numeric), LAYER_TOL))
-    return results
+    return check_layer("dense", layer, lambda: layer.forward(x), x, projection)
 
 
 def check_cross_entropy(seed: int = 6) -> list[CheckResult]:
@@ -235,12 +192,14 @@ def sort_key_gaps(model: Model, sp, x) -> np.ndarray:
 
 def readout_margin(model: Model, sp, x) -> float:
     """Smallest distance of a read-out pre-activation from its rectifier kink."""
-    hcat = np.hstack(model.conv_activations(sp, x))
-    pooled, _ = model.sortpool.forward(hcat, offsets=sp.offsets)
-    z1, _ = model.conv1.forward(pooled.reshape(pooled.shape[0], -1, 1))
-    z2, _ = model.conv2.forward(model.pool.forward(np.maximum(z1, 0.0))[0])
-    d1, _ = model.dense1.forward(np.maximum(z2, 0.0).reshape(z2.shape[0], -1))
-    return min(float(np.abs(z).min()) for z in (z1, z2, d1))
+    h, _ = model.sortpool.forward(np.hstack(model.conv_activations(sp, x)),
+                                  offsets=sp.offsets)
+    margin = np.inf
+    for layer in model.readout:
+        if isinstance(layer, ReLU):
+            margin = min(margin, float(np.abs(h).min()))
+        h, _ = layer.forward(h)
+    return margin
 
 
 def _small_model(rng: np.random.Generator) -> Model:

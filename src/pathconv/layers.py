@@ -16,8 +16,10 @@ All arithmetic is 64-bit.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, NumericalError
 from .shortest_paths import SPTensor, propagate, propagate_transpose
@@ -27,16 +29,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape: tuple[int, ...] | None = None) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
-
-
-def concat_layers(h_list: list[np.ndarray]) -> np.ndarray:
-    """Horizontal concatenation of per-layer node representations."""
-    rows = {h.shape[0] for h in h_list}
-    if len(rows) != 1:
-        raise ValueError(f"row-count mismatch in concatenation: {sorted(rows)}")
-    if len(h_list) == 1:
-        return h_list[0]
-    return np.hstack(h_list)
 
 
 class DistanceConv:
@@ -203,14 +195,13 @@ class SortPool:
 
 
 class Conv1D:
-    """1-D cross-correlation over (..., length, channels) signals."""
+    """1-D cross-correlation with stride 1 over (..., length, channels)
+    signals.  At width 1 it acts on each step's channel row alone."""
 
-    def __init__(self, c_in: int, filters: int, width: int, stride: int,
-                 rng: np.random.Generator):
+    def __init__(self, c_in: int, filters: int, width: int, rng: np.random.Generator):
         self.c_in = c_in
         self.filters = filters
         self.width = width
-        self.stride = stride
         self.kernel = glorot_uniform(rng, width * c_in, filters,
                                      shape=(filters, width, c_in))
         self.bias = np.zeros(filters)
@@ -222,39 +213,35 @@ class Conv1D:
             raise ConfigError(
                 f"signal of length {length} is shorter than kernel width {self.width}"
             )
-        return (length - self.width) // self.stride + 1
-
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        """(steps, width * c_in): one receptive field per output step."""
-        t_out = self.out_length(x.shape[-2])
-        if self.stride == self.width:
-            # Non-overlapping windows tile the front of the signal.
-            tiles = x[..., : t_out * self.width, :]
-        else:
-            tiles = sliding_window_view(x, self.width, axis=-2)[..., :: self.stride, :, :]
-            tiles = tiles.swapaxes(-1, -2)  # (..., t_out, width, c_in)
-        return tiles.reshape(-1, self.width * self.c_in)
+        return length - self.width + 1
 
     def forward(self, x: np.ndarray):
-        windows = self._windows(x)
-        out = windows @ self.kernel.reshape(self.filters, -1).T + self.bias
         t_out = self.out_length(x.shape[-2])
+        # (steps, width * c_in): one receptive field per output step, as a
+        # view whose window axis reuses the step stride.
+        windows = as_strided(x, (*x.shape[:-2], t_out, self.width, self.c_in),
+                             x.strides[:-1] + x.strides[-2:], writeable=False)
+        windows = windows.reshape(-1, self.width * self.c_in)
+        out = windows @ self.kernel.reshape(self.filters, -1).T + self.bias
         return out.reshape(*x.shape[:-2], t_out, self.filters), (windows, x.shape)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         windows, x_shape = cache
-        t_out = dout.shape[-2]
         dflat = dout.reshape(-1, self.filters)
         self.grad_bias += dflat.sum(axis=0)
         self.grad_kernel += (dflat.T @ windows).reshape(self.kernel.shape)
-        dwin = (dflat @ self.kernel.reshape(self.filters, -1)).reshape(
-            *x_shape[:-2], t_out, self.width, self.c_in)
-        if self.stride == self.width and t_out * self.width == x_shape[-2]:
-            return dwin.reshape(x_shape)  # the tiles cover the signal exactly
-        dx = np.zeros(x_shape)
-        for w in range(self.width):
-            dx[..., w::self.stride, :][..., :t_out, :] += dwin[..., w, :]
-        return dx
+        # Step t receives tap w from output step t - w.  Padding dout with
+        # width - 1 zero steps on both sides makes each tap's share one
+        # slice of the product; at width 1 the product is the gradient
+        # itself, with no second signal-sized array to fill.
+        edge = self.width - 1
+        dpad = np.zeros((*dout.shape[:-2], dout.shape[-2] + 2 * edge, self.filters))
+        dpad[..., edge:edge + dout.shape[-2], :] = dout
+        dtap = dpad.reshape(-1, self.filters) @ self.kernel.reshape(self.filters, -1)
+        dtap = dtap.reshape(*dpad.shape[:-1], self.width, self.c_in)
+        length = x_shape[-2]
+        return reduce(np.add, (dtap[..., edge - w:edge - w + length, w, :]
+                               for w in range(self.width)))
 
     def parameters(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
@@ -264,38 +251,30 @@ class Conv1D:
 
 
 class MaxPool1D:
-    """Max pooling over the time axis of (..., length, channels) signals."""
-
-    def __init__(self, width: int = 2, stride: int = 2):
-        self.width = width
-        self.stride = stride
-
-    def out_length(self, length: int) -> int:
-        if length < self.width:
-            raise ConfigError(
-                f"signal of length {length} is shorter than pool width {self.width}"
-            )
-        return (length - self.width) // self.stride + 1
+    """Max over non-overlapping pairs of steps of (..., length, channels)
+    signals; an odd last step is dropped.  The first of two equal values
+    wins, and only it receives the gradient."""
 
     def forward(self, x: np.ndarray):
-        self.out_length(x.shape[-2])
-        windows = sliding_window_view(x, self.width, axis=-2)[..., :: self.stride, :, :]
-        arg = windows.argmax(axis=-1)  # first max wins ties, deterministically
-        out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-        return out, (arg, x.shape)
+        *lead, length, channels = x.shape
+        pairs = x[..., : length - length % 2, :].reshape(*lead, -1, 2, channels)
+        arg = pairs.argmax(axis=-2)[..., None, :]
+        return np.take_along_axis(pairs, arg, axis=-2)[..., 0, :], (arg, x.shape)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         arg, x_shape = cache
-        t_out, channels = dout.shape[-2:]
-        dx = np.zeros(x_shape).reshape(-1, x_shape[-2], channels)
-        rows = np.arange(t_out)[:, None] * self.stride + arg.reshape(-1, t_out, channels)
-        batch = np.arange(dx.shape[0])[:, None, None]
-        np.add.at(dx, (batch, rows, np.arange(channels)), dout.reshape(rows.shape))
-        return dx.reshape(x_shape)
+        *lead, length, channels = x_shape
+        dx = np.zeros(x_shape)
+        # Splitting the step axis in two is a view, so this writes into dx.
+        pairs = dx[..., : length - length % 2, :].reshape(*lead, -1, 2, channels)
+        np.put_along_axis(pairs, arg, dout[..., None, :], axis=-2)
+        return dx
 
 
 class Dense:
-    """Affine layer on (batch, features) rows."""
+    """Affine layer on rows of ``c_in`` features: an input of any shape is
+    read as (rows, c_in), so a (graphs, steps, channels) signal whose
+    steps * channels is c_in gives one row per graph."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         self.weight = glorot_uniform(rng, c_in, c_out)
@@ -304,13 +283,14 @@ class Dense:
         self.grad_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray):
-        return x @ self.weight + self.bias, x
+        rows = x.reshape(-1, self.weight.shape[0])
+        return rows @ self.weight + self.bias, (rows, x.shape)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        x = cache
-        self.grad_weight += x.T @ dout
+        rows, x_shape = cache
+        self.grad_weight += rows.T @ dout
         self.grad_bias += dout.sum(axis=0)
-        return dout @ self.weight.T
+        return (dout @ self.weight.T).reshape(x_shape)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]

@@ -2,12 +2,12 @@
 
 Architecture: a stack of graph convolution layers, a concatenation of all
 their outputs, a sort-based pooling layer producing a fixed k x c tensor,
-then a 1-D read-out (convolution over one node representation per step,
-max-pooling, a second convolution) and two dense layers ending in a
-softmax over the classes.  Graph convolutions use tanh, the read-out uses
-rectified linear units.  The network runs on minibatches: the graphs of a
-batch travel through the graph convolutions as one disconnected graph and
-through the read-out as a leading batch axis.
+then a 1-D read-out (a width-1 convolution acting on each pooled node row,
+max-pooling over pairs of rows, a second convolution) and two dense layers
+ending in a softmax over the classes.  Graph convolutions use tanh, the
+read-out uses rectified linear units.  The network runs on minibatches:
+the graphs of a batch travel through the graph convolutions as one
+disconnected graph and through the read-out as a leading batch axis.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .shortest_paths import SPTensor
 
 MODES = ("parametric", "dgcnn_baseline")
 
-# Kernel width and stride of the second read-out convolution.
+# Kernel width of the second read-out convolution.
 CONV2_WIDTH = 5
-CONV2_STRIDE = 1
 
 
 @dataclass(frozen=True)
@@ -143,27 +142,23 @@ class Model:
 
         k = config.sortpool_k
         self.sortpool = SortPool(k)
-        # One node representation per step, then standard pool and conv.
-        self.conv1 = Conv1D(1, config.conv1_filters, width=self.concat_width,
-                            stride=self.concat_width, rng=rng)
-        self.relu1 = ReLU()
-        self.pool = MaxPool1D(width=2, stride=2)
-        self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters,
-                            width=CONV2_WIDTH, stride=CONV2_STRIDE, rng=rng)
-        self.relu2 = ReLU()
-
-        pooled_len = self.pool.out_length(k) if k >= 2 else 0
-        if k < 2 or pooled_len < CONV2_WIDTH:
+        if k // 2 < CONV2_WIDTH:
             raise ConfigError(
                 f"sortpool_k={k} leaves a read-out signal shorter than the "
                 f"second convolution kernel (width {CONV2_WIDTH}); "
                 f"need k >= {2 * CONV2_WIDTH}"
             )
-        conv2_len = self.conv2.out_length(pooled_len)
-        self.dense1 = Dense(conv2_len * config.conv2_filters, config.dense_width, rng)
-        self.relu3 = ReLU()
+        self.conv1 = Conv1D(self.concat_width, config.conv1_filters, width=1, rng=rng)
+        self.pool = MaxPool1D()
+        self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters,
+                            width=CONV2_WIDTH, rng=rng)
+        self.dense1 = Dense(self.conv2.out_length(k // 2) * config.conv2_filters,
+                            config.dense_width, rng)
         self.dropout = Dropout(config.dropout_rate)
         self.dense2 = Dense(config.dense_width, num_classes, rng)
+        # From SortPool's (graphs, k, c) block to dense1's rectified rows.
+        self.readout = [self.conv1, ReLU(), self.pool, self.conv2, ReLU(),
+                        self.dense1, ReLU()]
 
         self._named_layers = [(f"gconv{i}", c) for i, c in enumerate(self.graph_convs)]
         self._named_layers += [("conv1", self.conv1), ("conv2", self.conv2),
@@ -191,40 +186,27 @@ class Model:
         """Class probabilities, one row per graph of ``sp``, plus the cache
         backward needs.  ``x`` stacks the graphs' feature rows."""
         hcat, conv_caches = self._convolve(sp, x)
-        pooled, record = self.sortpool.forward(hcat, offsets=sp.offsets)
-        graphs = pooled.shape[0]
-        z1, c1 = self.conv1.forward(pooled.reshape(graphs, -1, 1))
-        a1, m1 = self.relu1.forward(z1)
-        p1, cp = self.pool.forward(a1)
-        z2, c2 = self.conv2.forward(p1)
-        a2, m2 = self.relu2.forward(z2)
-        d1, cd1 = self.dense1.forward(a2.reshape(graphs, -1))
-        a3, m3 = self.relu3.forward(d1)
-        dr, mdrop = self.dropout.forward(a3, train_mode, rng)
-        logits, cd2 = self.dense2.forward(dr)
-        probs = softmax(logits)
-
-        cache = {
-            "conv_caches": conv_caches, "record": record, "pooled_shape": pooled.shape,
-            "c1": c1, "m1": m1, "cp": cp, "c2": c2, "m2": m2,
-            "cd1": cd1, "m3": m3, "mdrop": mdrop, "cd2": cd2, "logits": logits,
-        }
-        return probs, cache
+        h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
+        readout_caches = []
+        for layer in self.readout:
+            h, layer_cache = layer.forward(h)
+            readout_caches.append(layer_cache)
+        h, mask = self.dropout.forward(h, train_mode, rng)
+        logits, dense2_cache = self.dense2.forward(h)
+        cache = {"conv_caches": conv_caches, "record": record,
+                 "readout_caches": readout_caches, "dropout_mask": mask,
+                 "dense2_cache": dense2_cache, "logits": logits}
+        return softmax(logits), cache
 
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False):
         """Accumulate parameter gradients, summed over the batch.  Returns
         the input-feature gradient when ``input_grad`` is set, else None."""
-        dd = self.dense2.backward(cache["cd2"], dlogits)
-        dd = self.dropout.backward(cache["mdrop"], dd)
-        dd = self.relu3.backward(cache["m3"], dd)
-        dd = self.dense1.backward(cache["cd1"], dd)
-        dz2 = self.relu2.backward(cache["m2"], dd.reshape(cache["m2"].shape))
-        dp1 = self.conv2.backward(cache["c2"], dz2)
-        da1 = self.pool.backward(cache["cp"], dp1)
-        dz1 = self.relu1.backward(cache["m1"], da1)
-        dsignal = self.conv1.backward(cache["c1"], dz1)
-        dhcat = self.sortpool.backward(cache["record"],
-                                       dsignal.reshape(cache["pooled_shape"]))
+        d = self.dense2.backward(cache["dense2_cache"], dlogits)
+        d = self.dropout.backward(cache["dropout_mask"], d)
+        for layer, layer_cache in zip(reversed(self.readout),
+                                      reversed(cache["readout_caches"])):
+            d = layer.backward(layer_cache, d)
+        dhcat = self.sortpool.backward(cache["record"], d)
 
         # Each conv output feeds both the concatenation and the next layer.
         dnext = None
@@ -316,7 +298,18 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value."""
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
+        if "__meta__" not in data:
+            raise ConfigError("checkpoint lacks its __meta__ entry")
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigError("checkpoint __meta__ entry is not a JSON object")
+        missing = [key for key in ("config", "feature_dim", "num_classes")
+                   if key not in meta]
+        if missing:
+            raise ConfigError(f"checkpoint metadata lacks {', '.join(missing)}")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here shares code with the implementation under test: distances
-come from Floyd-Warshall instead of breadth-first search, and gradients
-are checked elsewhere against central finite differences.
+come from Floyd-Warshall instead of breadth-first search, the read-out is
+composed from plain numpy products, and gradients are checked elsewhere
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -73,3 +74,33 @@ def sortpool_order(h: np.ndarray) -> np.ndarray:
     ascending row index."""
     n, c = h.shape
     return np.lexsort((np.arange(n),) + tuple(-h[:, col] for col in range(c)))
+
+
+def sortpool_block(h: np.ndarray, k: int) -> np.ndarray:
+    """One graph's (k, c) SortPool output: the first k rows in
+    :func:`sortpool_order`, zero rows below when there are fewer."""
+    block = np.zeros((k, h.shape[1]))
+    rows = h[sortpool_order(h)[:k]]
+    block[: len(rows)] = rows
+    return block
+
+
+def readout_probabilities(pooled: np.ndarray, params: dict) -> np.ndarray:
+    """Class probabilities of (graphs, k, c) pooled blocks through the
+    read-out, from the model's named parameters: a product per node row,
+    ReLU, max over pairs of rows, a width-5 correlation, ReLU, dense, ReLU,
+    dense, softmax."""
+    kernel1 = params["conv1.kernel"][:, 0, :]  # (filters, c)
+    a1 = np.maximum(np.einsum("gkc,fc->gkf", pooled, kernel1) + params["conv1.bias"], 0.0)
+    half = a1.shape[1] // 2
+    p1 = np.maximum(a1[:, 0:2 * half:2], a1[:, 1:2 * half:2])
+    kernel2 = params["conv2.kernel"]  # (filters, width, channels)
+    width = kernel2.shape[1]
+    steps = half - width + 1
+    z2 = sum(np.einsum("gtc,fc->gtf", p1[:, w:w + steps], kernel2[:, w, :])
+             for w in range(width)) + params["conv2.bias"]
+    flat = np.maximum(z2, 0.0).reshape(len(pooled), -1)
+    hidden = np.maximum(flat @ params["dense1.weight"] + params["dense1.bias"], 0.0)
+    logits = hidden @ params["dense2.weight"] + params["dense2.bias"]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)

@@ -21,7 +21,6 @@ from pathconv import (
 )
 from pathconv.cli import main as cli_main
 from pathconv.gradcheck import run_all
-from pathconv.layers import concat_layers
 from pathconv.model import Model
 
 from conftest import require_benchmark
@@ -180,7 +179,7 @@ def test_permutation_invariance():
         n = int(rng.integers(4, 16))
         g = random_graph(rng, n=n, edge_prob=0.35)
         sp = compute_sp_tensor(g, model.config.r)
-        keys = np.sort(concat_layers(model.conv_activations(sp, g.features))[:, -1])
+        keys = np.sort(np.hstack(model.conv_activations(sp, g.features))[:, -1])
         if n > 1 and np.diff(keys).min() < 1e-8:
             continue  # verified-distinct-keys precondition
         perm = rng.permutation(n)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pathconv import Graph, NumericalError, compute_sp_tensor, concat_layers
+from pathconv import Graph, NumericalError, compute_sp_tensor
 from pathconv.gradcheck import run_all
 from pathconv.layers import (
     Adam,
@@ -99,29 +99,6 @@ class TestJointConv:
         assert parametric.shape == (3, 2)
 
 
-class TestConcat:
-    def test_orders_columns(self):
-        a = np.arange(8.0).reshape(4, 2)
-        b = np.arange(12.0).reshape(4, 3) + 100
-        out = concat_layers([a, b])
-        assert out.shape == (4, 5)
-        assert np.array_equal(out[:, :2], a)
-        assert np.array_equal(out[:, 2:], b)
-
-    def test_single_input_unchanged(self):
-        a = np.ones((3, 2))
-        assert concat_layers([a]) is a
-
-    def test_empty_block_is_identity_on_other(self):
-        a = np.ones((3, 0))
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(concat_layers([a, b]), b)
-
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError):
-            concat_layers([np.ones((3, 1)), np.ones((4, 1))])
-
-
 class TestSortPool:
     def test_orders_and_truncates(self):
         out, _ = SortPool(k=2).forward(np.array([[1.0], [3.0], [2.0]]))
@@ -164,38 +141,57 @@ class TestSortPool:
 
 class TestConv1D:
     def test_width_one_identity_kernel(self):
-        layer = Conv1D(c_in=1, filters=1, width=1, stride=1, rng=rng())
+        layer = Conv1D(c_in=1, filters=1, width=1, rng=rng())
         layer.kernel = np.ones((1, 1, 1))
         layer.bias = np.zeros(1)
         x = np.arange(6.0).reshape(6, 1)
         out, _ = layer.forward(x)
         assert np.array_equal(out, x)
 
-    def test_tiled_stride_equals_matmul(self):
-        # width == stride over a flattened (k, c) block acts per node row.
-        layer = Conv1D(c_in=1, filters=4, width=3, stride=3, rng=rng())
+    def test_width_one_equals_matmul(self):
+        # Width 1 over a (k, c) block acts per node row.
+        layer = Conv1D(c_in=3, filters=4, width=1, rng=rng())
         block = rng().normal(size=(5, 3))
-        out, _ = layer.forward(block.reshape(-1, 1))
-        expected = block @ layer.kernel[:, :, 0].T + layer.bias
+        out, _ = layer.forward(block)
+        expected = block @ layer.kernel[:, 0, :].T + layer.bias
         assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_too_short_signal(self):
         from pathconv.errors import ConfigError
-        layer = Conv1D(c_in=1, filters=1, width=5, stride=1, rng=rng())
+        layer = Conv1D(c_in=1, filters=1, width=5, rng=rng())
         with pytest.raises(ConfigError):
             layer.forward(np.zeros((4, 1)))
 
 
 def test_maxpool_example():
-    out, _ = MaxPool1D(width=2, stride=2).forward(
-        np.array([[1.0], [3.0], [2.0], [2.0]]))
+    out, _ = MaxPool1D().forward(np.array([[1.0], [3.0], [2.0], [2.0]]))
     assert np.array_equal(out, np.array([[3.0], [2.0]]))
 
 
 def test_maxpool_odd_length_drops_tail():
-    out, _ = MaxPool1D(width=2, stride=2).forward(
-        np.array([[1.0], [3.0], [9.0]]))
+    out, _ = MaxPool1D().forward(np.array([[1.0], [3.0], [9.0]]))
     assert np.array_equal(out, np.array([[3.0]]))
+
+
+def test_maxpool_gradient_goes_to_first_maximum_and_not_to_odd_tail():
+    # Two signals of five steps, two channels: pairs (0, 1) and (2, 3),
+    # step 4 left over.  Ties at equal values, -0.0 against 0.0 included.
+    x = np.array([[[2.0, 0.0], [2.0, -0.0], [1.0, 5.0], [4.0, 5.0], [9.0, 9.0]],
+                  [[-1.0, 3.0], [-1.0, 7.0], [0.0, 6.0], [0.0, 6.0], [8.0, 8.0]]])
+    layer = MaxPool1D()
+    out, cache = layer.forward(x)
+    assert np.array_equal(out, [[[2.0, 0.0], [4.0, 5.0]], [[-1.0, 7.0], [0.0, 6.0]]])
+    dout = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    dx = layer.backward(cache, dout)
+    expected = np.zeros_like(x)
+    expected[0, 0] = [1.0, 2.0]  # both channels tied: the first step wins
+    expected[0, 2, 1] = 4.0      # tied at 5.0
+    expected[0, 3, 0] = 3.0
+    expected[1, 0, 0] = 5.0      # tied at -1.0
+    expected[1, 1, 1] = 6.0
+    expected[1, 2] = [7.0, 8.0]  # both channels tied
+    assert np.array_equal(dx, expected)
+    assert not dx[:, 4].any()    # the odd last step gets no gradient
 
 
 class TestSoftmaxCrossEntropy:

@@ -16,9 +16,15 @@ from pathconv import (
     resolve_sortpool_k,
     save_checkpoint,
 )
-from pathconv.layers import concat_layers
+from pathconv.model import MODES, distance_cutoff
+from pathconv.shortest_paths import batch_sp_tensors
 
-from oracles import floyd_warshall_distances, random_graph
+from oracles import (
+    floyd_warshall_distances,
+    random_graph,
+    readout_probabilities,
+    sortpool_block,
+)
 
 SMALL = dict(conv_layers=2, channels=4, sortpool_k=10, conv1_filters=3,
              conv2_filters=4, dense_width=8, dropout_rate=0.0)
@@ -98,6 +104,28 @@ class TestForward:
             assert np.array_equal(p, b)
 
 
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_matches_readout_oracle(mode, train_mode):
+    """Probabilities equal a plain numpy read-out of the pooled blocks, so
+    the read-out layers run in the documented order.  Dropout is off
+    (rate 0), so training mode gives the same probabilities."""
+    rng = np.random.default_rng(8)
+    graphs = [random_graph(rng, n=n, edge_prob=0.3) for n in (6, 14, 11)]
+    model = build(mode=mode)
+    r = distance_cutoff(model.config)
+    sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs], r)
+    x = np.vstack([g.features for g in graphs])
+    probs, _ = model.forward(sp, x, train_mode=train_mode, rng=rng)
+
+    hcat = np.hstack(model.conv_activations(sp, x))
+    bounds = sp.offsets
+    pooled = np.stack([sortpool_block(hcat[lo:hi], model.config.sortpool_k)
+                       for lo, hi in zip(bounds[:-1], bounds[1:])])
+    expected = readout_probabilities(pooled, dict(model.parameters()))
+    assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
+
 class TestWidthLaw:
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_parametric_width(self, r):
@@ -125,7 +153,7 @@ class TestPermutationInvariance:
             n = int(rng.integers(4, 16))
             g = random_graph(rng, n=n, edge_prob=0.35)
             sp = compute_sp_tensor(g, model.config.r)
-            keys = np.sort(concat_layers(model.conv_activations(sp, g.features))[:, -1])
+            keys = np.sort(np.hstack(model.conv_activations(sp, g.features))[:, -1])
             if n > 1 and np.diff(keys).min() < 1e-8:
                 continue  # invariance only promised for distinct sort keys
             perm = rng.permutation(n)
@@ -219,14 +247,38 @@ class TestCheckpoint:
 
     @staticmethod
     def rewrite(path, edit):
-        """Save a checkpoint, let ``edit`` change its entries, write it back."""
+        """Save a checkpoint, let ``edit`` change its decoded metadata and its
+        entries, write it back.  The metadata is encoded again unless
+        ``edit`` replaced or removed the ``__meta__`` entry itself."""
         save_checkpoint(build(seed=9), path)
         with np.load(path) as data:
             entries = dict(data)
-        meta = json.loads(str(entries["__meta__"]))
+        stored = entries["__meta__"]
+        meta = json.loads(str(stored))
         edit(meta, entries)
-        entries["__meta__"] = np.array(json.dumps(meta))
+        if entries.get("__meta__") is stored:
+            entries["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **entries)
+
+    def test_missing_meta_entry_is_config_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.pop("__meta__"))
+        with pytest.raises(ConfigError, match="__meta__"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("raw", ["{config", "[1, 2]"])
+    def test_meta_not_json_object_is_config_error(self, tmp_path, raw):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.update(__meta__=np.array(raw)))
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "feature_dim", "num_classes"])
+    def test_missing_meta_key_is_config_error(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta.pop(key))
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         path = tmp_path / "model.npz"
