@@ -38,6 +38,10 @@ class DistanceConv:
     at distance exactly j, multiplied by the distance-specific weight
     matrix and squashed with tanh; the r+1 blocks are concatenated
     column-wise, giving an output width of (r+1) * c_out.
+
+    The product is taken in the cheaper order, P_j (h W_j): one GEMM
+    projects h onto every W_j at once, block 0 is kept as it is (P_0 = I)
+    and each later block is propagated at the c_out width.
     """
 
     def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator):
@@ -51,33 +55,41 @@ class DistanceConv:
     def out_width(self) -> int:
         return (self.r + 1) * self.c_out
 
+    def _block(self, a: np.ndarray, j: int) -> np.ndarray:
+        return a[:, j * self.c_out:(j + 1) * self.c_out]
+
     def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
         """``out``, if given, is the (nodes, out_width) array to write into."""
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
+        w = np.concatenate(self.weights, axis=1)
         if out is None:
             out = np.empty((h.shape[0], self.out_width))
-        c = self.c_out
-        acts = [np.tanh(propagate(sp, j, h) @ w, out=out[:, j * c:(j + 1) * c])
-                for j, w in enumerate(self.weights)]
-        return out, (sp, h, acts)
+        np.matmul(h, w, out=out)
+        for j in range(1, self.r + 1):
+            block = self._block(out, j)
+            block[...] = propagate(sp, j, block)
+        np.tanh(out, out=out)
+        return out, (sp, h, w, out)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
         """Returns the input gradient, or None when ``input_grad`` is off.
 
-        The weight gradient (P_j h)^T dz is taken as h^T (P_j^T dz): the
-        c_out-wide gradient is propagated, and the c_in-wide means need not
-        be kept from the forward pass.
+        The gradient at the projection, dz_j = P_j^T (dout_j * tanh'), is
+        propagated at the c_out width; one GEMM then gives every weight
+        gradient h^T dz and one more the input gradient dz W^T.
         """
-        sp, h, acts = cache
-        dh = np.zeros((h.shape[0], self.c_in)) if input_grad else None
-        for j, w in enumerate(self.weights):
-            da = dout[:, j * self.c_out:(j + 1) * self.c_out]
-            back = propagate_transpose(sp, j, da * (1.0 - acts[j] ** 2))
-            self.grad_weights[j] += h.T @ back
-            if input_grad:
-                dh += back @ w.T
-        return dh
+        sp, h, w, act = cache
+        dz = np.multiply(act, act)  # in place: fresh arrays this size are slow to get
+        np.subtract(1.0, dz, out=dz)
+        dz *= dout
+        for j in range(1, self.r + 1):
+            block = self._block(dz, j)
+            block[...] = propagate_transpose(sp, j, block)
+        grad = h.T @ dz
+        for j, g in enumerate(self.grad_weights):
+            g += self._block(grad, j)
+        return dz @ w.T if input_grad else None
 
     def parameters(self):
         return [(f"w{j}", w) for j, w in enumerate(self.weights)]
@@ -88,7 +100,11 @@ class DistanceConv:
 
 class JointConv:
     """Baseline graph convolution: joint mean over a node and its direct
-    neighbors, one shared weight matrix, tanh."""
+    neighbors, one shared weight matrix, tanh.
+
+    The mean is taken after the projection, as norm * (z + d * P_1 z) with
+    z = h W, so the sparse product runs at the c_out width.
+    """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         self.c_in = c_in
@@ -107,8 +123,8 @@ class JointConv:
         # Neighbor count, exact: one stored entry per neighbor.
         d = np.diff(sp.mats[1].indptr)[:, None]
         norm = 1.0 / (1 + d)  # self-contribution keeps every row sum >= 1
-        mean = norm * (h + d * propagate(sp, 1, h))
-        act = np.tanh(mean @ self.weight, out=out)
+        z = h @ self.weight
+        act = np.tanh(norm * (z + d * propagate(sp, 1, z)), out=out)
         return act, (sp, d, norm, h, act)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):

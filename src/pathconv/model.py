@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -295,6 +296,20 @@ def save_checkpoint(model: Model, path) -> None:
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
+def _stored_config(stored: dict) -> ModelConfig:
+    """The config of checkpoint metadata, each value's type checked against
+    its field; a float field also takes an int, as JSON may write one."""
+    hints = get_type_hints(ModelConfig)
+    declared = {f.name: f.type for f in fields(ModelConfig)}
+    for key, value in stored.items():
+        allowed = get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"checkpoint config {key}={value!r} is not {declared[key]}")
+    return ModelConfig(**stored)
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value."""
     with np.load(path, allow_pickle=False) as data:
@@ -313,7 +328,10 @@ def load_checkpoint(path) -> Model:
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
-        config = ModelConfig(**meta["config"])
+        config = _stored_config(meta["config"])
+        for key in ("feature_dim", "num_classes"):
+            if type(meta[key]) is not int:
+                raise ConfigError(f"checkpoint {key} {meta[key]!r} is not an int")
         model = Model(config, meta["feature_dim"], meta["num_classes"])
         for name, p in model.parameters():
             if name not in data:

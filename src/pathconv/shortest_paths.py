@@ -8,13 +8,15 @@ P_j stores 1 / (number of nodes at distance j from i) at each of those
 nodes.  P_0 is the identity, P_1 has the support of the adjacency
 matrix, and the supports of the operators are pairwise disjoint.
 Propagation at distance j, P_j @ h, replaces each node's row by the mean
-over its distance-j neighbors.
+over its distance-j neighbors; P_0 = I is applied as a copy-free no-op.
+Backpropagation needs P_j^T = S_j D_j^-1, which each tensor builds on
+first use, so precompute and forward-only passes never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -28,8 +30,8 @@ class SPTensor:
 
     ``mats[j]`` is the CSR operator P_j: row i stores 1 / c at each of
     the c nodes at distance exactly j from node i, in ascending column
-    order, and is empty when there is none.  Immutable after
-    construction.
+    order, and is empty when there is none.  ``transposes[j]`` is P_j^T,
+    built on first use.  Immutable after construction.
 
     A tensor from :func:`batch_sp_tensors` describes several graphs as one
     disconnected graph: ``graph_sizes`` lists their node counts in row
@@ -48,6 +50,19 @@ class SPTensor:
     def offsets(self) -> np.ndarray:
         """First row of every graph, then the total row count."""
         return np.cumsum((0,) + (self.graph_sizes or (self.node_count,)))
+
+    @cached_property
+    def transposes(self) -> tuple[sparse.csr_matrix, ...]:
+        """P_0^T..P_r^T as CSR.  S_j is symmetric, so P_j^T = S_j D_j^-1
+        has P_j's ``indptr`` and ``indices`` (shared, not copied) and stores
+        1 / c_k at column k, c_k being row k's entry count.  P_0 is its own
+        transpose."""
+        transposed = [self.mats[0]]
+        for m in self.mats[1:]:
+            counts = np.diff(m.indptr)
+            transposed.append(sparse.csr_matrix(
+                (1.0 / counts[m.indices], m.indices, m.indptr), shape=m.shape))
+        return tuple(transposed)
 
 
 def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
@@ -98,21 +113,24 @@ def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
 
     Every ``mats[j]`` is block-diagonal, built by concatenating the CSR
     arrays, so each row keeps its entries in their original order and
-    propagation gives every graph's rows bit for bit.
+    propagation gives every graph's rows bit for bit.  Each CSR array is
+    one concatenation plus one shift, and the index arrays stay int32 so
+    scipy takes them without a copy.
     """
     if len(sps) == 1:
         return sps[0]
     sizes = tuple(sp.node_count for sp in sps)
     n = sum(sizes)
-    row_offsets = list(accumulate(sizes[:-1], initial=0))
+    row_starts = np.cumsum((0,) + sizes[:-1], dtype=np.int32)
+    zero = np.zeros(1, np.int32)
     mats = []
     for j in range(r + 1):
         parts = [sp.mats[j] for sp in sps]
-        nnz_offsets = accumulate((m.nnz for m in parts), initial=0)
-        indptr = np.concatenate(
-            [[0]] + [m.indptr[1:] + base for m, base in zip(parts, nnz_offsets)])
-        indices = np.concatenate(
-            [m.indices + base for m, base in zip(parts, row_offsets)])
+        nnz = np.array([m.indices.size for m in parts], dtype=np.int32)
+        indptr = np.concatenate([zero] + [m.indptr[1:] for m in parts])
+        indptr[1:] += np.repeat(nnz.cumsum(dtype=np.int32) - nnz, sizes)
+        indices = np.concatenate([m.indices for m in parts])
+        indices += np.repeat(row_starts, nnz)
         data = np.concatenate([m.data for m in parts])
         mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
     return SPTensor(r=r, mats=tuple(mats), graph_sizes=sizes)
@@ -122,12 +140,13 @@ def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
     """Mean of the rows of ``h`` over the nodes at distance exactly j.
 
     Rows with no distance-j neighbor come out all-zero.  Linear in ``h``.
+    At j = 0 it returns ``h`` itself.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
     if h.shape[0] != sp.node_count:
         raise ValueError(f"h has {h.shape[0]} rows, graph has {sp.node_count} nodes")
-    return sp.mats[j] @ h
+    return h if j == 0 else sp.mats[j] @ h
 
 
 def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
@@ -135,8 +154,9 @@ def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
     this is what backpropagation through :func:`propagate` needs.
 
     P_j^T = S_j D_j^-1, since S_j is symmetric: row i sums (1 / c_k) g_k
-    over the nodes k at distance j from i, in ascending k.
+    over the nodes k at distance j from i, in ascending k.  One CSR
+    product with ``sp.transposes[j]``; at j = 0 it returns ``h`` itself.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
-    return sp.mats[j].T @ h
+    return h if j == 0 else sp.transposes[j] @ h

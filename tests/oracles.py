@@ -39,6 +39,47 @@ def normalized_from_distances(dist: np.ndarray, j: int) -> np.ndarray:
     return ind / np.maximum(ind.sum(axis=1, keepdims=True), 1.0)
 
 
+def distance_conv_reference(dist: np.ndarray, h: np.ndarray, weights, dout: np.ndarray):
+    """Dense DistanceConv in the propagate-first order, tanh(P_j h W_j) per
+    block, plus the gradients of <output, dout>: one per weight matrix,
+    (P_j h)^T (dout_j * tanh'), and the input's, sum_j P_j^T (...) W_j^T."""
+    c = weights[0].shape[1]
+    blocks, grads, dh = [], [], np.zeros_like(h)
+    for j, w in enumerate(weights):
+        p = normalized_from_distances(dist, j)
+        mean = p @ h
+        act = np.tanh(mean @ w)
+        s = dout[:, j * c:(j + 1) * c] * (1.0 - act * act)
+        blocks.append(act)
+        grads.append(mean.T @ s)
+        dh += p.T @ s @ w.T
+    return np.hstack(blocks), grads, dh
+
+
+def joint_conv_reference(dist: np.ndarray, h: np.ndarray, weight: np.ndarray,
+                         dout: np.ndarray):
+    """Dense JointConv: tanh(M h W) with M = (I + A) / (1 + degree), the
+    joint mean over a node and its neighbors, plus the gradients of
+    <output, dout> in W and in h."""
+    adjacency = indicator_from_distances(dist, 1)
+    m = (np.eye(len(dist)) + adjacency) / (1.0 + adjacency.sum(axis=1, keepdims=True))
+    mean = m @ h
+    act = np.tanh(mean @ weight)
+    s = dout * (1.0 - act * act)
+    return act, mean.T @ s, m.T @ s @ weight.T
+
+
+def block_distances(dists) -> np.ndarray:
+    """Distances of several graphs taken as one disconnected graph."""
+    n = sum(len(d) for d in dists)
+    block = np.full((n, n), np.inf)
+    lo = 0
+    for d in dists:
+        block[lo:lo + len(d), lo:lo + len(d)] = d
+        lo += len(d)
+    return block
+
+
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float,
                  feature_dim: int = 3, target: int = 0) -> Graph:
     """Erdos-Renyi style graph with one-hot features."""

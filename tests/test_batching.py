@@ -17,7 +17,7 @@ import pathconv.training as training
 from pathconv import Dataset, Graph, NumericalError, compute_sp_tensor, train_one_fold
 from pathconv.gradcheck import run_all
 from pathconv.layers import SortPool
-from pathconv.model import distance_cutoff
+from pathconv.model import MODES, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, propagate, propagate_transpose
 from pathconv.training import (
     NODE_BUDGET,
@@ -103,6 +103,56 @@ def test_batched_pass_matches_singletons(r, mode):
     budget_losses = accumulate_gradients(model, dataset, sps, batch, cutoff,
                                          rng=np.random.default_rng(0))
     assert_close(budget_losses, losses)
+    for grad, total in zip(gradient_copy(model), summed):
+        assert_close(grad, total)
+
+
+@st.composite
+def cut_batches(draw):
+    """(graphs, cuts, r): up to six small random graphs, often with
+    isolated nodes, and the positions where the batch is cut into
+    sub-batches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 6))
+    graphs = [random_graph(rng, n=draw(st.integers(1, 12)),
+                           edge_prob=draw(st.sampled_from([0.0, 0.15, 0.4])),
+                           target=int(rng.integers(2)))
+              for _ in range(count)]
+    cuts = sorted(draw(st.sets(st.integers(1, count - 1)))) if count > 1 else []
+    return graphs, cuts, draw(st.integers(0, 3))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(cut_batches())
+def test_random_cuts_match_singletons(mode, batch):
+    """Probabilities, losses, input gradients and summed parameter
+    gradients of sub-batches equal those of one graph at a time."""
+    graphs, cuts, r = batch
+    model = build(r=r, mode=mode)
+    cutoff = distance_cutoff(model.config)
+    sps = [compute_sp_tensor(g, cutoff) for g in graphs]
+
+    singles = []
+    summed = [np.zeros_like(g) for _, g in model.gradients()]
+    for g, sp in zip(graphs, sps):
+        model.zero_gradients()
+        singles.append(model.loss_and_gradients(sp, g.features, g.target, input_grad=True))
+        for total, grad in zip(summed, gradient_copy(model)):
+            total += grad
+
+    model.zero_gradients()
+    bounds = [0, *cuts, len(graphs)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sp = batch_sp_tensors(sps[lo:hi], cutoff)
+        x = np.concatenate([g.features for g in graphs[lo:hi]])
+        losses, probs, dx = model.loss_and_gradients(
+            sp, x, [g.target for g in graphs[lo:hi]], input_grad=True)
+        rows = np.cumsum([0] + [g.node_count for g in graphs[lo:hi]])
+        for i, (loss1, probs1, dx1) in enumerate(singles[lo:hi]):
+            assert_close(losses[i], loss1[0])
+            assert_close(probs[i], probs1[0])
+            assert_close(dx[rows[i]:rows[i + 1]], dx1)
     for grad, total in zip(gradient_copy(model), summed):
         assert_close(grad, total)
 

@@ -17,8 +17,17 @@ from pathconv.layers import (
     SortPool,
     softmax_cross_entropy,
 )
+from pathconv.shortest_paths import batch_sp_tensors
 
-from oracles import path_graph
+from oracles import (
+    block_distances,
+    distance_conv_reference,
+    floyd_warshall_distances,
+    joint_conv_reference,
+    path_graph,
+    random_graph,
+)
+from test_batching import assert_close
 
 
 def rng():
@@ -97,6 +106,55 @@ class TestJointConv:
         parametric, _ = DistanceConv(1, 1, 1, rng()).forward(sp, h)
         assert joint.shape == (3, 1)
         assert parametric.shape == (3, 2)
+
+
+class TestGraphConvReference:
+    """Project-first layers against dense propagate-first references:
+    outputs, every weight gradient and the input gradient."""
+
+    @staticmethod
+    def cases(r):
+        """(sp, dist) for single graphs and for their batch; the graphs
+        include a single node, isolated nodes and an edgeless graph."""
+        gen = np.random.default_rng(r)
+        graphs = [random_graph(gen, n=int(gen.integers(2, 14)), edge_prob=0.3)
+                  for _ in range(2)]
+        graphs += [Graph(1, frozenset(), np.ones((1, 3)), 0),
+                   Graph(6, frozenset({(1, 3), (3, 4)}), np.ones((6, 3)), 0),
+                   Graph(3, frozenset(), np.ones((3, 3)), 0)]
+        sps = [compute_sp_tensor(g, r) for g in graphs]
+        dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
+        return list(zip(sps, dists)) + [(batch_sp_tensors(sps, r), block_distances(dists))]
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_distance_conv(self, r):
+        gen = np.random.default_rng(10 + r)
+        for sp, dist in self.cases(r):
+            layer = DistanceConv(r=r, c_in=3, c_out=4, rng=gen)
+            h = gen.normal(size=(sp.node_count, 3))
+            dout = gen.normal(size=(sp.node_count, layer.out_width))
+            out, cache = layer.forward(sp, h)
+            dh = layer.backward(cache, dout)
+            ref_out, ref_grads, ref_dh = distance_conv_reference(dist, h, layer.weights, dout)
+            assert_close(out, ref_out)
+            for g, ref in zip(layer.grad_weights, ref_grads):
+                assert_close(g, ref)
+            assert_close(dh, ref_dh)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_joint_conv(self, r):
+        # Baseline mode reads distance 1 only; a larger r adds unused operators.
+        gen = np.random.default_rng(20 + r)
+        for sp, dist in self.cases(max(r, 1)):
+            layer = JointConv(c_in=3, c_out=4, rng=gen)
+            h = gen.normal(size=(sp.node_count, 3))
+            dout = gen.normal(size=(sp.node_count, 4))
+            out, cache = layer.forward(sp, h)
+            dh = layer.backward(cache, dout)
+            ref_out, ref_grad, ref_dh = joint_conv_reference(dist, h, layer.weight, dout)
+            assert_close(out, ref_out)
+            assert_close(layer.grad_weight, ref_grad)
+            assert_close(dh, ref_dh)
 
 
 class TestSortPool:

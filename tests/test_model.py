@@ -286,6 +286,28 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="conv2_width"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [("r", "2"), ("sortpool_k", 10.0),
+                                            ("dropout_rate", "0.5"), ("mode", 1),
+                                            ("epochs", True), ("seed", None)])
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, key, value):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta["config"].update({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["feature_dim", "num_classes"])
+    def test_wrongly_typed_dimension_is_config_error(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta.update({key: "3"}))
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+    def test_int_for_float_field_loads(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta["config"].update(dropout_rate=0,
+                                                                 sortpool_k=10))
+        assert load_checkpoint(path).config.dropout_rate == 0
+
     def test_missing_parameter_is_config_error(self, tmp_path):
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda _, entries: entries.pop("dense2.bias"))

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from pathconv import Graph, compute_sp_tensor, propagate
+from pathconv.layers import DistanceConv
 from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
 
 from oracles import (
@@ -131,6 +132,37 @@ def test_transpose_bitwise_equals_indicator_formula():
                     block[lo:hi, lo:hi] = dist
                 assert np.array_equal(propagate_transpose(batched, j, grad),
                                       transpose_oracle(block, j, grad))
+
+
+def test_stored_transposes_equal_transposed_operators():
+    """``transposes[j]`` is exactly mats[j].T: canonical CSR sharing P_j's
+    index arrays, per graph (with isolated nodes) and batched."""
+    rng = np.random.default_rng(10)
+    graphs = [random_graph(rng, n=int(rng.integers(1, 16)), edge_prob=0.25)
+              for _ in range(4)] + [Graph(5, frozenset({(1, 3)}), np.ones((5, 1)), 0)]
+    for r in range(4):
+        sps = [compute_sp_tensor(g, r) for g in graphs]
+        for sp in sps + [batch_sp_tensors(sps, r)]:
+            assert len(sp.transposes) == r + 1
+            for m, t in zip(sp.mats, sp.transposes):
+                assert t.format == "csr" and t.has_canonical_format
+                assert m.nnz == 0 or np.shares_memory(t.indices, m.indices)
+                assert np.shares_memory(t.indptr, m.indptr)
+                assert np.array_equal(t.toarray(), m.T.toarray())
+
+
+def test_transposes_built_only_by_backward():
+    rng = np.random.default_rng(11)
+    sp = compute_sp_tensor(random_graph(rng, n=9, edge_prob=0.4), 2)
+    layer = DistanceConv(r=2, c_in=3, c_out=2, rng=rng)
+    h = rng.normal(size=(9, 3))
+    for j in range(3):
+        propagate(sp, j, h)
+    out, cache = layer.forward(sp, h)
+    propagate_transpose(sp, 0, h)
+    assert "transposes" not in vars(sp)
+    layer.backward(cache, np.ones_like(out))
+    assert "transposes" in vars(sp)
 
 
 def test_pairs_beyond_r_absent():
