@@ -11,6 +11,7 @@ node line).  Everything is converted to 0-based indices at this boundary.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -99,9 +100,20 @@ class Dataset:
         return np.array([g.target for g in self.graphs], dtype=np.int64)
 
 
+@contextmanager
+def _open_utf8(path: Path):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises
+    DatasetError naming the file."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_int_lines(path: Path) -> list[int]:
     values = []
-    with path.open() as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:
@@ -116,7 +128,7 @@ def _read_int_lines(path: Path) -> list[int]:
 def _read_edge_lines(path: Path, total_nodes: int) -> list[tuple[int, int, int]]:
     """Parse the 1-indexed edge file into (lineno, u, v) with 0-based endpoints."""
     out = []
-    with path.open() as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

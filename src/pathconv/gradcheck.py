@@ -85,10 +85,12 @@ def check_layer(label: str, layer, forward, x: np.ndarray,
     layer on ``x`` and returns its (output, cache) pair."""
     _, cache = forward()
     params = getattr(layer, "parameters", list)()
-    grads = getattr(layer, "gradients", list)()
-    for _, g in grads:
+    gradients = getattr(layer, "gradients", list)
+    for _, g in gradients():
         g[...] = 0.0
     dx = layer.backward(cache, projection.copy())
+    # Read after backward: a layer may fold its sums in only when asked.
+    grads = gradients()
 
     def objective():
         return float((forward()[0] * projection).sum())

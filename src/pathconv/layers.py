@@ -2,9 +2,10 @@
 
 Every layer follows the same convention: ``forward`` returns the output
 plus an opaque cache, ``backward`` takes that cache and the gradient of
-the loss with respect to the output, accumulates parameter gradients into
-the layer's ``grad_*`` buffers and returns the gradient with respect to
-the input.  Parameters are only ever mutated by the optimizer.
+the loss with respect to the output, adds the parameter gradients to the
+layer's sums and returns the gradient with respect to the input; read the
+sums through ``gradients()``, which returns the layer's ``grad_*``
+buffers.  Parameters are only ever mutated by the optimizer.
 
 Layers work on minibatches.  The graph convolutions see the batch as one
 disconnected graph whose node rows are stacked; SortPool cuts it into a
@@ -290,13 +291,22 @@ class MaxPool1D:
 class Dense:
     """Affine layer on rows of ``c_in`` features: an input of any shape is
     read as (rows, c_in), so a (graphs, steps, channels) signal whose
-    steps * channels is c_in gives one row per graph."""
+    steps * channels is c_in gives one row per graph.
+
+    ``backward`` keeps each (rows, dout) pair instead of adding its
+    outer product to ``grad_weight``: a wide layer fed one graph at a time
+    would otherwise read and write the whole weight-sized buffer per call.
+    ``gradients()`` folds every kept pair in with one GEMM, and
+    ``discard_pending()`` drops them; a kept input must not change before
+    either.
+    """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         self.weight = glorot_uniform(rng, c_in, c_out)
         self.bias = np.zeros(c_out)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def forward(self, x: np.ndarray):
         rows = x.reshape(-1, self.weight.shape[0])
@@ -304,14 +314,21 @@ class Dense:
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         rows, x_shape = cache
-        self.grad_weight += rows.T @ dout
+        self._pending.append((rows, dout))
         self.grad_bias += dout.sum(axis=0)
         return (dout @ self.weight.T).reshape(x_shape)
+
+    def discard_pending(self) -> None:
+        self._pending.clear()
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
     def gradients(self):
+        if self._pending:
+            rows, douts = zip(*self._pending)
+            self.grad_weight += np.concatenate(rows).T @ np.concatenate(douts)
+            self._pending.clear()
         return [("weight", self.grad_weight), ("bias", self.grad_bias)]
 
 

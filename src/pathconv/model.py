@@ -200,8 +200,9 @@ class Model:
         return softmax(logits), cache
 
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False):
-        """Accumulate parameter gradients, summed over the batch.  Returns
-        the input-feature gradient when ``input_grad`` is set, else None."""
+        """Add this batch's parameter gradients to the sums that
+        ``gradients()`` returns.  Returns the input-feature gradient when
+        ``input_grad`` is set, else None."""
         d = self.dense2.backward(cache["dense2_cache"], dlogits)
         d = self.dropout.backward(cache["dropout_mask"], d)
         for layer, layer_cache in zip(reversed(self.readout),
@@ -249,6 +250,8 @@ class Model:
                 for pname, g in layer.gradients()]
 
     def zero_gradients(self) -> None:
+        for dense in (self.dense1, self.dense2):
+            dense.discard_pending()
         for _, g in self.gradients():
             g[...] = 0.0
 

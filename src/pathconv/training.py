@@ -308,6 +308,8 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
     experiment continues; aggregates cover the completed folds.
     """
     config.validate()
+    if repeats < 1:
+        raise ConfigError(f"need at least 1 repeat, got {repeats}")
     tasks = []
     for repeat in range(repeats):
         repeat_config = replace(config, seed=config.seed + repeat)
@@ -349,8 +351,9 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     """Write ``folds.csv`` and ``summary.txt`` under ``out_dir``.
 
     The CSV holds one row per fold with full-precision floats (so parsing
-    it back recovers every numeric field exactly); the summary carries the
-    percent-formatted "mean +/- std" line.
+    it back recovers every numeric field exactly) and, in its last column,
+    the error a failed fold recorded (empty for completed folds); the
+    summary carries the percent-formatted "mean +/- std" line.
     """
     if not report.fold_reports:
         raise ConfigError("refusing to write a report with no folds")
@@ -360,12 +363,12 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "mode", "r", "fold", "repeat",
-                         "accuracy", "best_epoch", "seconds"])
+                         "accuracy", "best_epoch", "seconds", "error"])
         for fr in report.fold_reports:
             writer.writerow([
                 report.dataset, report.config.mode, report.config.r,
                 fr.fold_id, fr.repeat_id, repr(fr.test_accuracy),
-                fr.best_epoch, repr(fr.wall_time_seconds),
+                fr.best_epoch, repr(fr.wall_time_seconds), fr.error or "",
             ])
     summary_path = out / "summary.txt"
     summary_path.write_text(format_summary(report))

@@ -32,6 +32,15 @@ class TestInspectDataset:
         assert code == 2
         assert "NOPE_A.txt" in capsys.readouterr().err
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        save_tu_dataset(build_toy_dataset(), tmp_path)
+        with (tmp_path / "TOY_A.txt").open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        code = main(["inspect-dataset", "--dataset", "TOY",
+                     "--data-dir", str(tmp_path)])
+        assert code == 2
+        assert "TOY_A.txt" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_report_files(self, toy_tu_dir, tmp_path, capsys):
@@ -68,6 +77,13 @@ class TestTrain:
                      "--folds", "1", "--repeats", "1", "--epochs", "1",
                      "--k", "10", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_zero_repeats_exits_1(self, toy_tu_dir, tmp_path, capsys):
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                     "--folds", "3", "--repeats", "0", "--epochs", "1",
+                     "--k", "10", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "repeat" in capsys.readouterr().err
 
     def test_negative_r_exits_1(self, toy_tu_dir, tmp_path):
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),

@@ -1,7 +1,12 @@
 """Data model, benchmark-file ingestion, and fold construction."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathconv import (
     ConfigError,
@@ -16,7 +21,7 @@ from pathconv import (
 )
 
 from conftest import write_tu_files
-from oracles import path_graph
+from oracles import path_graph, random_graph
 
 
 class TestGraphInvariants:
@@ -97,6 +102,12 @@ class TestLoadTuDataset:
         with pytest.raises(DatasetError, match="OOR_A.txt:2"):
             load_tu_dataset(tmp_path, "OOR")
 
+    def test_non_utf8_byte_names_file(self, tiny_tu_dir):
+        with (tiny_tu_dir / "TINY_graph_labels.txt").open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(DatasetError, match="TINY_graph_labels.txt: not UTF-8"):
+            load_tu_dataset(tiny_tu_dir, "TINY")
+
     def test_zero_node_graph_rejected(self, tmp_path):
         # Two labels but only graph 2 has nodes.
         write_tu_files(tmp_path, "EMPTY", edges_1based=[(1, 2), (2, 1)],
@@ -139,6 +150,82 @@ class TestRoundTrip:
         ds2 = load_tu_dataset(tmp_path / "deg", "DEG")
         for a, b in zip(ds.graphs, ds2.graphs):
             assert np.array_equal(a.features, b.features)
+
+
+@st.composite
+def tu_datasets(draw):
+    """Small random datasets with isolated nodes and single-node graphs;
+    some feature columns and classes may go unused."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    feature_dim = draw(st.integers(1, 4))
+    num_classes = draw(st.integers(1, 3))
+    graphs = [random_graph(rng, n=draw(st.integers(1, 9)),
+                           edge_prob=draw(st.sampled_from([0.0, 0.2, 0.5])),
+                           feature_dim=feature_dim,
+                           target=draw(st.integers(0, num_classes - 1)))
+              for _ in range(draw(st.integers(1, 6)))]
+    return Dataset("RAND", tuple(graphs), num_classes=num_classes, feature_dim=feature_dim)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(tu_datasets())
+def test_save_load_round_trip(dataset):
+    """Loading keeps only the feature columns and classes in use, in
+    their sorted order; everything else comes back exactly."""
+    columns = sorted({int(c) for g in dataset.graphs for c in g.features.argmax(axis=1)})
+    classes = sorted({g.target for g in dataset.graphs})
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tu_dataset(dataset, tmp)
+        loaded = load_tu_dataset(tmp, dataset.name)
+    assert loaded.feature_dim == len(columns)
+    assert loaded.num_classes == len(classes)
+    assert len(loaded) == len(dataset)
+    for a, b in zip(dataset.graphs, loaded.graphs):
+        assert b.node_count == a.node_count
+        assert b.edges == a.edges
+        assert np.array_equal(b.features, a.features[:, columns])
+        assert b.target == classes.index(a.target)
+
+
+def _saved_files() -> dict[str, bytes]:
+    rng = np.random.default_rng(11)
+    graphs = (Graph(1, frozenset(), np.eye(3)[[1]], 0),
+              random_graph(rng, n=6, edge_prob=0.4, target=1),
+              random_graph(rng, n=5, edge_prob=0.2, target=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tu_dataset(Dataset("FUZZ", graphs, num_classes=2, feature_dim=3), tmp)
+        return {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+
+
+SAVED = _saved_files()
+NON_UTF8 = [b"\xff", b"\xfe\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]
+
+
+@st.composite
+def corruptions(draw, data: bytes) -> bytes:
+    """``data`` truncated, with one byte flipped, or with a byte sequence
+    that is not UTF-8 inserted."""
+    pos = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "flip":
+        return data[:pos] + bytes([data[pos] ^ draw(st.integers(1, 255))]) + data[pos + 1:]
+    return data[:pos] + draw(st.sampled_from(NON_UTF8)) + data[pos:]
+
+
+@pytest.mark.parametrize("file_name", sorted(SAVED))
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_malformed_file_raises_only_dataset_error(file_name, data):
+    corrupted = data.draw(corruptions(SAVED[file_name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in SAVED.items():
+            (Path(tmp) / name).write_bytes(corrupted if name == file_name else content)
+        try:
+            load_tu_dataset(tmp, "FUZZ")
+        except DatasetError:
+            pass
 
 
 class TestDegreeFeatures:

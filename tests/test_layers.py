@@ -17,6 +17,7 @@ from pathconv.layers import (
     SortPool,
     softmax_cross_entropy,
 )
+from pathconv.model import Model, ModelConfig
 from pathconv.shortest_paths import batch_sp_tensors
 
 from oracles import (
@@ -332,3 +333,64 @@ def test_dense_and_relu_chain_matches_manual():
     x = np.array([1.0, -1.0, 2.0])
     out, _ = layer.forward(x)
     assert np.allclose(out, x @ layer.weight + layer.bias, rtol=0, atol=1e-15)
+
+
+class TestDenseDeferredGradient:
+    """``Dense.backward`` keeps its (rows, dout) pairs; ``gradients()``
+    folds them into the weight gradient."""
+
+    # One row (B = 1), several rows, and a (graphs, steps, channels) signal.
+    SHAPES = [(1, 12), (5, 12), (3, 4, 3), (1, 12)]
+
+    def run_calls(self, layer, read_between=False):
+        """Backward over every input shape; returns the expected weight
+        and bias gradients, summed call by call."""
+        gen = np.random.default_rng(1)
+        weight = np.zeros_like(layer.weight)
+        bias = np.zeros_like(layer.bias)
+        for shape in self.SHAPES:
+            x = gen.normal(size=shape)
+            out, cache = layer.forward(x)
+            dout = gen.normal(size=out.shape)
+            dx = layer.backward(cache, dout)
+            # The input gradient does not wait for the fold.
+            assert_close(dx, (dout @ layer.weight.T).reshape(shape))
+            rows = x.reshape(-1, layer.weight.shape[0])
+            weight += rows.T @ dout
+            bias += dout.sum(axis=0)
+            if read_between:
+                layer.gradients()
+        return weight, bias
+
+    def test_fold_equals_sum_of_outer_products(self):
+        layer = Dense(c_in=12, c_out=5, rng=rng())
+        weight, bias = self.run_calls(layer)
+        grads = dict(layer.gradients())
+        assert_close(grads["weight"], weight)
+        assert_close(grads["bias"], bias)
+
+    def test_second_read_adds_nothing(self):
+        layer = Dense(c_in=12, c_out=5, rng=rng())
+        self.run_calls(layer)
+        first = [g.copy() for _, g in layer.gradients()]
+        for (_, g), before in zip(layer.gradients(), first):
+            assert np.array_equal(g, before)
+
+    def test_reads_between_calls_give_the_same_sum(self):
+        layer = Dense(c_in=12, c_out=5, rng=rng())
+        weight, bias = self.run_calls(layer, read_between=True)
+        grads = dict(layer.gradients())
+        assert_close(grads["weight"], weight)
+        assert_close(grads["bias"], bias)
+
+    def test_model_zero_gradients_discards_kept_pairs(self):
+        config = ModelConfig(r=1, conv_layers=1, channels=3, sortpool_k=10,
+                             conv1_filters=2, conv2_filters=3, dense_width=4,
+                             dropout_rate=0.0)
+        model = Model(config, feature_dim=1, num_classes=2)
+        graph = path_graph(12, target=1)
+        sp = compute_sp_tensor(graph, r=1)
+        model.loss_and_gradients(sp, graph.features, graph.target)
+        model.zero_gradients()
+        for name, g in model.gradients():
+            assert not g.any(), name

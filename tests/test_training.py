@@ -130,6 +130,13 @@ class TestRunExperiment:
         assert math.isnan(failed[0].test_accuracy)
         assert math.isfinite(report.mean_accuracy)
 
+    def test_zero_repeats_rejected_before_precompute(self, toy_dataset, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("precompute ran")
+        monkeypatch.setattr(training, "precompute_sp_tensors", unreachable)
+        with pytest.raises(ConfigError, match="repeat"):
+            run_experiment(toy_dataset, TOY_CONFIG, folds=2, repeats=0)
+
     def test_parallel_matches_sequential(self, toy_dataset):
         config = dataclasses.replace(TOY_CONFIG, epochs=2)
         seq = run_experiment(toy_dataset, config, folds=2, repeats=1, jobs=1)
@@ -179,6 +186,17 @@ class TestEmitReport:
             assert row["dataset"] == "TOY"
             assert row["mode"] == "parametric"
             assert int(row["r"]) == 2
+
+    def test_failed_fold_error_in_csv(self, tmp_path):
+        report = _report_with([0.5, 0.75])
+        report.fold_reports[1] = FoldReport(fold_id=1, repeat_id=0,
+                                            test_accuracy=float("nan"), best_epoch=0,
+                                            error="non-finite loss on graph 3")
+        csv_path, _ = emit_report(report, tmp_path)
+        with csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == ["", "non-finite loss on graph 3"]
+        assert math.isnan(float(rows[1]["accuracy"]))
 
     def test_aggregate_recomputable_from_csv(self, tmp_path, toy_dataset):
         config = dataclasses.replace(TOY_CONFIG, epochs=2)
