@@ -14,6 +14,7 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +67,19 @@ class Graph:
             adj[j].append(i)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    def _edge_array(self) -> np.ndarray:
+        """``edges`` as an (m, 2) int64 array, in no particular order."""
+        return np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * len(self.edges)).reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbors], dtype=np.int64)
+        return np.bincount(self._edge_array().ravel(), minlength=self.node_count)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (derived on demand)."""
         a = np.zeros((self.node_count, self.node_count))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        i, j = self._edge_array().T
+        a[i, j] = a[j, i] = 1.0
         return a
 
 
@@ -111,41 +117,44 @@ def _open_utf8(path: Path):
         raise DatasetError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_int_lines(path: Path) -> list[int]:
-    values = []
+def _read_rows(path: Path, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-blank lines of ``path``, each ``width`` comma-separated
+    integers: their 1-based line numbers in the file, and the values as
+    an int64 ``(lines, width)`` array.  A malformed line, or an integer
+    outside int64, raises DatasetError naming the file and the line."""
     with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise DatasetError(f"{path.name}:{lineno}: expected an integer, got {token!r}")
-    return values
+        lines = fh.read().split("\n")
+    filled = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
+    linenos = np.flatnonzero(filled) + 1
+    rows = list(compress(lines, filled))
+    if not rows:
+        return linenos, np.empty((0, width), dtype=np.int64)
+    try:
+        values = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == width:
+            return linenos, values
+    except ValueError:
+        pass
+    # The bulk parse names no file line: find the first line that breaks the format.
+    expected = f"expected {width} comma-separated 64-bit integer(s)"
+    for lineno, line in zip(linenos.tolist(), rows):
+        fields = line.split(",")
+        try:
+            fits = len(fields) == width and all(-2**63 <= int(f) < 2**63 for f in fields)
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DatasetError(f"{path.name}:{lineno}: {expected}, got {line.strip()!r}")
+    raise DatasetError(f"{path.name}: {expected} per line")
 
 
-def _read_edge_lines(path: Path, total_nodes: int) -> list[tuple[int, int, int]]:
-    """Parse the 1-indexed edge file into (lineno, u, v) with 0-based endpoints."""
-    out = []
-    with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split(",")
-            if len(parts) != 2:
-                raise DatasetError(f"{path.name}:{lineno}: expected 'u, v', got {stripped!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetError(f"{path.name}:{lineno}: non-integer node index in {stripped!r}")
-            if not (1 <= u <= total_nodes and 1 <= v <= total_nodes):
-                raise DatasetError(
-                    f"{path.name}:{lineno}: node index out of range 1..{total_nodes}"
-                )
-            out.append((lineno, u - 1, v - 1))
-    return out
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted, each value once.  ``np.unique`` does the same
+    through a hash table, many times slower on millions of int64 keys."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
@@ -170,98 +179,95 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
         if not fpath(suffix).exists():
             raise DatasetError(f"missing dataset file: {fpath(suffix)}")
 
-    indicator = _read_int_lines(fpath("graph_indicator"))
-    raw_graph_labels = _read_int_lines(fpath("graph_labels"))
-    total_nodes = len(indicator)
-    num_graphs = len(raw_graph_labels)
+    indicator_lines, indicator = _read_rows(fpath("graph_indicator"), 1)
+    _, raw_graph_labels = _read_rows(fpath("graph_labels"), 1)
+    total_nodes = indicator.shape[0]
+    num_graphs = raw_graph_labels.shape[0]
     if total_nodes == 0:
         raise DatasetError(f"{fpath('graph_indicator').name}: no nodes listed")
 
-    # Nodes of graph g, in global order; graph ids must be 1..num_graphs.
-    members: list[list[int]] = [[] for _ in range(num_graphs)]
-    for node, gid in enumerate(indicator):
-        if not 1 <= gid <= num_graphs:
-            raise DatasetError(
-                f"{fpath('graph_indicator').name}:{node + 1}: graph id {gid} outside 1..{num_graphs}"
-            )
-        members[gid - 1].append(node)
-    for gid0, nodes in enumerate(members):
-        if not nodes:
-            raise DatasetError(f"graph {gid0 + 1} has zero nodes")
+    # Graph ids must be 1..num_graphs, and every graph must own a node.
+    graph_of = indicator[:, 0] - 1
+    bad = np.flatnonzero((graph_of < 0) | (graph_of >= num_graphs))
+    if bad.size:
+        raise DatasetError(
+            f"{fpath('graph_indicator').name}:{indicator_lines[bad[0]]}: "
+            f"graph id {indicator[bad[0], 0]} outside 1..{num_graphs}"
+        )
+    sizes = np.bincount(graph_of, minlength=num_graphs)
+    if not sizes.all():
+        raise DatasetError(f"graph {np.argmin(sizes) + 1} has zero nodes")
+    # Each node's position once nodes are grouped by graph, each graph's
+    # nodes kept in global order: graph g holds offsets[g]:offsets[g + 1].
+    order = np.argsort(graph_of, kind="stable")
+    position = np.empty(total_nodes, dtype=np.int64)
+    position[order] = np.arange(total_nodes)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
 
-    local_index = np.empty(total_nodes, dtype=np.int64)
-    graph_of = np.empty(total_nodes, dtype=np.int64)
-    for gid0, nodes in enumerate(members):
-        for local, node in enumerate(nodes):
-            local_index[node] = local
-            graph_of[node] = gid0
-
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    seen_directed: set[int] = set()
-    dropped_self_loops = 0
-    dropped_duplicates = 0
-    for lineno, u, v in _read_edge_lines(fpath("A"), total_nodes):
-        if graph_of[u] != graph_of[v]:
-            raise DatasetError(
-                f"{fpath('A').name}:{lineno}: edge joins nodes of different graphs"
-            )
-        key = u * total_nodes + v
-        if key in seen_directed:
-            dropped_duplicates += 1
-            continue
-        seen_directed.add(key)
-        if u == v:
-            dropped_self_loops += 1
-            continue
-        g = graph_of[u]
-        a, b = sorted((int(local_index[u]), int(local_index[v])))
-        edge_sets[g].add((a, b))
+    edge_lines, uv = _read_rows(fpath("A"), 2)
+    uv -= 1
+    bad = np.flatnonzero(((uv < 0) | (uv >= total_nodes)).any(axis=1))
+    if bad.size:
+        raise DatasetError(
+            f"{fpath('A').name}:{edge_lines[bad[0]]}: node index out of range 1..{total_nodes}"
+        )
+    bad = np.flatnonzero(graph_of[uv[:, 0]] != graph_of[uv[:, 1]])
+    if bad.size:
+        raise DatasetError(
+            f"{fpath('A').name}:{edge_lines[bad[0]]}: edge joins nodes of different graphs"
+        )
+    directed = _distinct(uv[:, 0] * total_nodes + uv[:, 1])
+    u, v = np.divmod(directed, total_nodes)
+    self_loop = u == v
+    dropped_self_loops = np.count_nonzero(self_loop)
+    dropped_duplicates = uv.shape[0] - directed.size
     if dropped_self_loops or dropped_duplicates:
         log.info(
             "%s: dropped %d self-loops and %d duplicate edge lines",
             name, dropped_self_loops, dropped_duplicates,
         )
+    # Each undirected edge once as sorted (lo, hi) positions, so the edges
+    # of graph g form the run edge_offsets[g]:edge_offsets[g + 1].
+    a, b = position[u[~self_loop]], position[v[~self_loop]]
+    lo, hi = np.divmod(_distinct(np.minimum(a, b) * total_nodes + np.maximum(a, b)), total_nodes)
+    edge_offsets = np.searchsorted(lo, offsets)
+    shift = np.repeat(offsets[:-1], np.diff(edge_offsets))
+    lo -= shift
+    hi -= shift
 
     # Class labels remapped to 0..C-1 in sorted original order.
-    classes = sorted(set(raw_graph_labels))
-    class_of = {c: i for i, c in enumerate(classes)}
-    targets = [class_of[c] for c in raw_graph_labels]
+    classes, targets = np.unique(raw_graph_labels[:, 0], return_inverse=True)
 
     # Node features: one-hot over the dataset-wide label alphabet, or a
     # single constant column when the dataset carries no node labels.
     node_labels_path = fpath("node_labels")
     if node_labels_path.exists():
-        node_labels = _read_int_lines(node_labels_path)
-        if len(node_labels) != total_nodes:
+        _, node_labels = _read_rows(node_labels_path, 1)
+        if node_labels.shape[0] != total_nodes:
             raise DatasetError(
-                f"{node_labels_path.name}: {len(node_labels)} labels for {total_nodes} nodes"
+                f"{node_labels_path.name}: {node_labels.shape[0]} labels for {total_nodes} nodes"
             )
-        alphabet = sorted(set(node_labels))
-        label_col = {lab: i for i, lab in enumerate(alphabet)}
-        feature_dim = len(alphabet)
-        columns = np.array([label_col[lab] for lab in node_labels], dtype=np.int64)
+        alphabet, columns = np.unique(node_labels[:, 0], return_inverse=True)
+        feature_dim = alphabet.size
     else:
         log.info("%s: no node labels, using a constant one-column encoding", name)
         feature_dim = 1
         columns = np.zeros(total_nodes, dtype=np.int64)
+    features = np.eye(feature_dim)[columns[order]]
 
     if fpath("edge_labels").exists():
         log.info("%s: ignoring edge labels (%s)", name, fpath("edge_labels").name)
 
-    graphs = []
-    for gid0, nodes in enumerate(members):
-        features = np.zeros((len(nodes), feature_dim))
-        features[np.arange(len(nodes)), columns[nodes]] = 1.0
-        graphs.append(
-            Graph(
-                node_count=len(nodes),
-                edges=frozenset(edge_sets[gid0]),
-                features=features,
-                target=targets[gid0],
-            )
+    graphs = tuple(
+        Graph(
+            node_count=int(sizes[g]),
+            edges=frozenset(zip(lo[e0:e1].tolist(), hi[e0:e1].tolist())),
+            features=features[offsets[g]:offsets[g + 1]],
+            target=int(targets[g]),
         )
-    return Dataset(name=name, graphs=tuple(graphs), num_classes=len(classes),
-                   feature_dim=feature_dim)
+        for g, (e0, e1) in enumerate(zip(edge_offsets[:-1], edge_offsets[1:]))
+    )
+    return Dataset(name=name, graphs=graphs, num_classes=classes.size, feature_dim=feature_dim)
 
 
 def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
@@ -274,25 +280,19 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """
     base = Path(root_path)
     base.mkdir(parents=True, exist_ok=True)
-    name = dataset.name
+    graphs = dataset.graphs
+    sizes = [g.node_count for g in graphs]
+    first_ids = np.cumsum([1] + sizes[:-1])
+    edges = np.concatenate([g._edge_array() + first for g, first in zip(graphs, first_ids)])
+    directed = np.concatenate([edges, edges[:, ::-1]])
 
-    offsets = np.cumsum([0] + [g.node_count for g in dataset.graphs])
-    with (base / f"{name}_graph_indicator.txt").open("w") as fh:
-        for gid0, g in enumerate(dataset.graphs):
-            fh.writelines(f"{gid0 + 1}\n" for _ in range(g.node_count))
-    with (base / f"{name}_graph_labels.txt").open("w") as fh:
-        fh.writelines(f"{g.target}\n" for g in dataset.graphs)
-    with (base / f"{name}_node_labels.txt").open("w") as fh:
-        for g in dataset.graphs:
-            fh.writelines(f"{int(col)}\n" for col in g.features.argmax(axis=1))
-    with (base / f"{name}_A.txt").open("w") as fh:
-        for gid0, g in enumerate(dataset.graphs):
-            off = int(offsets[gid0]) + 1
-            directed = sorted(
-                [(i + off, j + off) for i, j in g.edges]
-                + [(j + off, i + off) for i, j in g.edges]
-            )
-            fh.writelines(f"{u}, {v}\n" for u, v in directed)
+    def write(suffix: str, rows) -> None:
+        np.savetxt(base / f"{dataset.name}_{suffix}.txt", rows, fmt="%d", delimiter=", ")
+
+    write("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), sizes))
+    write("graph_labels", [g.target for g in graphs])
+    write("node_labels", np.concatenate([g.features.argmax(axis=1) for g in graphs]))
+    write("A", directed[np.lexsort(directed.T[::-1])])
 
 
 def encode_degree_features(dataset: Dataset) -> Dataset:
@@ -302,16 +302,14 @@ def encode_degree_features(dataset: Dataset) -> Dataset:
     across the whole dataset.  Intended for datasets loaded without node
     labels.
     """
-    alphabet = sorted({int(d) for g in dataset.graphs for d in g.degrees()})
-    col = {d: i for i, d in enumerate(alphabet)}
-    graphs = []
-    for g in dataset.graphs:
-        features = np.zeros((g.node_count, len(alphabet)))
-        for node, d in enumerate(g.degrees()):
-            features[node, col[int(d)]] = 1.0
-        graphs.append(Graph(g.node_count, g.edges, features, g.target))
-    return Dataset(name=dataset.name, graphs=tuple(graphs),
-                   num_classes=dataset.num_classes, feature_dim=len(alphabet))
+    alphabet, columns = np.unique(np.concatenate([g.degrees() for g in dataset.graphs]),
+                                  return_inverse=True)
+    features = np.eye(alphabet.size)[columns]
+    offsets = np.cumsum([0] + [g.node_count for g in dataset.graphs])
+    graphs = tuple(Graph(g.node_count, g.edges, features[offsets[i]:offsets[i + 1]], g.target)
+                   for i, g in enumerate(dataset.graphs))
+    return Dataset(name=dataset.name, graphs=graphs,
+                   num_classes=dataset.num_classes, feature_dim=alphabet.size)
 
 
 def stratified_folds(

@@ -296,9 +296,8 @@ class Dense:
     ``backward`` keeps each (rows, dout) pair instead of adding its
     outer product to ``grad_weight``: a wide layer fed one graph at a time
     would otherwise read and write the whole weight-sized buffer per call.
-    ``gradients()`` folds every kept pair in with one GEMM, and
-    ``discard_pending()`` drops them; a kept input must not change before
-    either.
+    ``gradients()`` folds every kept pair in with one GEMM; a kept input
+    must not change before then.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
@@ -317,9 +316,6 @@ class Dense:
         self._pending.append((rows, dout))
         self.grad_bias += dout.sum(axis=0)
         return (dout @ self.weight.T).reshape(x_shape)
-
-    def discard_pending(self) -> None:
-        self._pending.clear()
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -415,8 +411,9 @@ class Adam:
                 raise ValueError(f"parameter/gradient mismatch: {name} vs {gname}")
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient in {name}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)

@@ -250,8 +250,6 @@ class Model:
                 for pname, g in layer.gradients()]
 
     def zero_gradients(self) -> None:
-        for dense in (self.dense1, self.dense2):
-            dense.discard_pending()
         for _, g in self.gradients():
             g[...] = 0.0
 

@@ -1,11 +1,12 @@
 """Data model, benchmark-file ingestion, and fold construction."""
 
+import logging
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathconv import (
@@ -82,6 +83,22 @@ class TestLoadTuDataset:
         ds = load_tu_dataset(tmp_path, "DIRTY")
         assert set(ds.graphs[0].edges) == {(0, 1), (1, 2)}
 
+    def test_interleaved_graph_ids_keep_global_node_order(self, tmp_path):
+        write_tu_files(
+            tmp_path, "MIX",
+            edges_1based=[(5, 1), (2, 4), (4, 2), (3, 5)],
+            indicator=[1, 2, 1, 2, 1],
+            graph_labels=[0, 1],
+            node_labels=[10, 20, 30, 40, 50],
+        )
+        ds = load_tu_dataset(tmp_path, "MIX")
+        g0, g1 = ds.graphs
+        # Graph 1 holds nodes 1, 3, 5 as 0, 1, 2; graph 2 holds 2, 4 as 0, 1.
+        assert g0.edges == {(0, 2), (1, 2)}
+        assert g1.edges == {(0, 1)}
+        assert g0.features.argmax(axis=1).tolist() == [0, 2, 4]
+        assert g1.features.argmax(axis=1).tolist() == [1, 3]
+
     def test_missing_file_names_file(self, tmp_path):
         write_tu_files(tmp_path, "GONE", edges_1based=[(1, 2), (2, 1)],
                        indicator=[1, 1], graph_labels=[0])
@@ -101,6 +118,34 @@ class TestLoadTuDataset:
                        indicator=[1, 1], graph_labels=[0])
         with pytest.raises(DatasetError, match="OOR_A.txt:2"):
             load_tu_dataset(tmp_path, "OOR")
+
+    def test_bad_graph_id_reports_file_line(self, tmp_path):
+        write_tu_files(tmp_path, "GID", edges_1based=[(1, 2), (2, 1)],
+                       indicator=[1, 1], graph_labels=[0])
+        (tmp_path / "GID_graph_indicator.txt").write_text("1\n\n7\n")
+        with pytest.raises(DatasetError, match="GID_graph_indicator.txt:3: graph id 7"):
+            load_tu_dataset(tmp_path, "GID")
+
+    @pytest.mark.parametrize("suffix, line", [
+        ("A", "2, 99999999999999999999999"),
+        ("graph_indicator", "-9223372036854775809"),
+        ("graph_labels", "12345678901234567890123"),
+        ("node_labels", "9223372036854775808"),
+    ])
+    def test_integer_outside_int64_names_file_line(self, tiny_tu_dir, suffix, line):
+        path = tiny_tu_dir / f"TINY_{suffix}.txt"
+        path.write_text(path.read_text() + f"\n{line}\n")
+        count = len(path.read_text().splitlines())
+        with pytest.raises(DatasetError, match=f"TINY_{suffix}.txt:{count}: expected .*64-bit"):
+            load_tu_dataset(tiny_tu_dir, "TINY")
+
+    def test_int64_extremes_load_as_labels(self, tmp_path):
+        write_tu_files(tmp_path, "EXT", edges_1based=[],
+                       indicator=[1, 2], graph_labels=[2 ** 63 - 1, -2 ** 63],
+                       node_labels=[-2 ** 63, 2 ** 63 - 1])
+        ds = load_tu_dataset(tmp_path, "EXT")
+        assert [g.target for g in ds.graphs] == [1, 0]
+        assert np.array_equal(ds.graphs[0].features, [[1.0, 0.0]])
 
     def test_non_utf8_byte_names_file(self, tiny_tu_dir):
         with (tiny_tu_dir / "TINY_graph_labels.txt").open("ab") as fh:
@@ -185,6 +230,59 @@ def test_save_load_round_trip(dataset):
         assert b.edges == a.edges
         assert np.array_equal(b.features, a.features[:, columns])
         assert b.target == classes.index(a.target)
+
+
+BLANKS = ["", "  ", "\t"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tu_datasets(), st.data())
+def test_dirty_edge_lines_load_clean(caplog, dataset, data):
+    """Duplicated, self-loop and blank lines, edges listed in one direction
+    only, and shuffled edge lines load to the graphs of the clean files,
+    and the log counts the dropped lines."""
+    offsets = np.cumsum([1] + [g.node_count for g in dataset.graphs])
+    lines = []
+    for g, off in zip(dataset.graphs, offsets):
+        for i, j in sorted(g.edges):
+            direction = data.draw(st.sampled_from(["both", "forward", "backward"]))
+            if direction != "backward":
+                lines.append((i + off, j + off))
+            if direction != "forward":
+                lines.append((j + off, i + off))
+    loops = data.draw(st.lists(st.integers(1, int(offsets[-1]) - 1), max_size=4))
+    lines += [(u, u) for u in loops]
+    if lines:
+        lines += data.draw(st.lists(st.sampled_from(lines), max_size=6))
+    lines = data.draw(st.permutations(lines))
+    expected_loops = len(set(loops))
+    expected_duplicates = len(lines) - len(set(lines))
+
+    def with_blanks(rows: list[str]) -> str:
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(BLANKS)))
+        return "".join(f"{row}\n" for row in rows)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tu_dataset(dataset, tmp)
+        clean = load_tu_dataset(tmp, dataset.name)
+        for path in Path(tmp).iterdir():
+            path.write_text(with_blanks(path.read_text().splitlines()))
+        (Path(tmp) / "RAND_A.txt").write_text(with_blanks([f"{u}, {v}" for u, v in lines]))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="pathconv.data"):
+            dirty = load_tu_dataset(tmp, dataset.name)
+    assert (dirty.num_classes, dirty.feature_dim) == (clean.num_classes, clean.feature_dim)
+    for a, b in zip(clean.graphs, dirty.graphs, strict=True):
+        assert (b.node_count, b.edges, b.target) == (a.node_count, a.edges, a.target)
+        assert np.array_equal(b.features, a.features)
+    dropped = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+    if expected_loops or expected_duplicates:
+        assert dropped == [f"RAND: dropped {expected_loops} self-loops and "
+                           f"{expected_duplicates} duplicate edge lines"]
+    else:
+        assert dropped == []
 
 
 def _saved_files() -> dict[str, bytes]:

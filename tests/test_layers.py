@@ -315,6 +315,31 @@ class TestAdam:
         with pytest.raises(NumericalError, match="dense1.weight"):
             opt.step([("dense1.weight", np.array([np.nan, 0.0]))])
 
+    def test_steps_bitwise_equal_textbook_update(self):
+        """The in-place moment updates round exactly like the textbook
+        formula: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2."""
+        rng = np.random.default_rng(4)
+        params = [("w", rng.normal(size=(5, 3))), ("b", rng.normal(size=3))]
+        opt = Adam([(n, p.copy()) for n, p in params], lr=1e-2)
+        lr, b1, b2, eps = opt.lr, opt.beta1, opt.beta2, opt.epsilon
+        ref = [p.copy() for _, p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        for t in range(1, 7):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3) for p in ref]
+            opt.step([(n, g.copy()) for (n, _), g in zip(params, grads)])
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                m_hat = m[i] / (1.0 - b1 ** t)
+                v_hat = v[i] / (1.0 - b2 ** t)
+                ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for (_, p), expected in zip(opt.params, ref):
+                assert p.tobytes() == expected.tobytes()
+            for got_m, got_v, want_m, want_v in zip(opt.m, opt.v, m, v):
+                assert got_m.tobytes() == want_m.tobytes()
+                assert got_v.tobytes() == want_v.tobytes()
+
     def test_moment_buffers_match_shapes(self):
         p = np.zeros((2, 3))
         opt = Adam([("p", p)])
