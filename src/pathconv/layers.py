@@ -167,12 +167,11 @@ class SortPool:
             raise ConfigError(f"sort-pooling size must be positive, got {k}")
         self.k = k
 
-    def forward(self, h: np.ndarray, offsets: np.ndarray | None = None):
-        """(k, c) for one graph; given ``offsets`` (every graph's first row,
-        then the row count), one (k, c) block per graph as (graphs, k, c)."""
+    def forward(self, h: np.ndarray, offsets: np.ndarray):
+        """One (k, c) block per graph as (graphs, k, c); ``offsets`` holds
+        every graph's first row, then the row count."""
         n, c = h.shape
-        bounds = np.array([0, n]) if offsets is None else offsets
-        graph = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        graph = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
         # Stable sort: by graph, then descending last column, ties in
         # ascending index order.
         order = np.lexsort((-h[:, c - 1], graph))
@@ -192,14 +191,13 @@ class SortPool:
             keys = np.concatenate((np.cumsum(new)[pos, None], x), axis=1)
             keys = keys.byteswap().view(f"V{8 * c}").ravel()
             order[pos] = rows[np.argsort(keys, kind="stable")]
-        rank = np.arange(n) - bounds[graph]
+        rank = np.arange(n) - offsets[graph]
         kept = np.zeros(n, dtype=bool)
         kept[order] = rank < self.k
         slot = np.zeros(n, dtype=np.int64)  # output row of each kept node
         slot[order] = graph * self.k + rank
-        out = np.zeros(((len(bounds) - 1) * self.k, c))
-        out[slot[kept]] = h[kept]
-        out = out.reshape(-1, self.k, c) if offsets is not None else out
+        out = np.zeros((len(offsets) - 1, self.k, c))
+        out.reshape(-1, c)[slot[kept]] = h[kept]
         return out, (slot, kept, out.shape)
 
     def backward(self, record, dout: np.ndarray) -> np.ndarray:

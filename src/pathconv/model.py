@@ -41,6 +41,10 @@ MODES = ("parametric", "dgcnn_baseline")
 # Kernel width of the second read-out convolution.
 CONV2_WIDTH = 5
 
+# Version of the checkpoint layout.  Checkpoints without one predate it
+# (their conv1 kernel has another shape) and are refused.
+CHECKPOINT_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -271,10 +275,8 @@ class Model:
         return Adam(self.parameters(), lr=self.config.learning_rate)
 
 
-def model_forward(graph: Graph, sp: SPTensor, model: Model,
-                  train_mode: bool = False,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities for one graph."""
+def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:
+    """Class probabilities for one graph, dropout off."""
     if graph.feature_dim != model.feature_dim:
         raise ValueError(
             f"graph feature dimension {graph.feature_dim} does not match "
@@ -282,13 +284,15 @@ def model_forward(graph: Graph, sp: SPTensor, model: Model,
         )
     if sp.node_count != graph.node_count:
         raise ValueError("shortest-path tensor does not match the graph")
-    probs, _ = model.forward(sp, graph.features, train_mode=train_mode, rng=rng)
+    probs, _ = model.forward(sp, graph.features)
     return probs[0]
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Self-describing container: configuration plus every parameter tensor."""
+    """Self-describing container: format, configuration and every
+    parameter tensor."""
     meta = json.dumps({
+        "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "feature_dim": model.feature_dim,
         "num_classes": model.num_classes,
@@ -322,6 +326,10 @@ def load_checkpoint(path) -> Model:
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError("checkpoint __meta__ entry is not a JSON object")
+        stored = meta.get("format", "missing")
+        if type(stored) is not int or stored != CHECKPOINT_FORMAT:
+            raise ConfigError(f"checkpoint format is {stored!r}, "
+                              f"expected {CHECKPOINT_FORMAT}")
         missing = [key for key in ("config", "feature_dim", "num_classes")
                    if key not in meta]
         if missing:

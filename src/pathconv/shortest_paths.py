@@ -33,14 +33,14 @@ class SPTensor:
     order, and is empty when there is none.  ``transposes[j]`` is P_j^T,
     built on first use.  Immutable after construction.
 
-    A tensor from :func:`batch_sp_tensors` describes several graphs as one
-    disconnected graph: ``graph_sizes`` lists their node counts in row
-    order; it is None for a single graph.
+    ``graph_sizes`` lists the node counts of the graphs it describes, in
+    row order: one for a single graph, several for a tensor from
+    :func:`batch_sp_tensors`, which joins graphs into one disconnected graph.
     """
 
     r: int
     mats: tuple[sparse.csr_matrix, ...]
-    graph_sizes: tuple[int, ...] | None = None
+    graph_sizes: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
@@ -49,7 +49,7 @@ class SPTensor:
     @property
     def offsets(self) -> np.ndarray:
         """First row of every graph, then the total row count."""
-        return np.cumsum((0,) + (self.graph_sizes or (self.node_count,)))
+        return np.cumsum((0,) + self.graph_sizes)
 
     @cached_property
     def transposes(self) -> tuple[sparse.csr_matrix, ...]:
@@ -105,7 +105,7 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
         data = 1.0 / np.repeat(row_counts, row_counts)  # 1 / c, c times per row
         mats.append(sparse.csr_matrix(
             (data, np.array(cols[j], dtype=np.int32), indptr), shape=(n, n)))
-    return SPTensor(r=r, mats=tuple(mats))
+    return SPTensor(r=r, mats=tuple(mats), graph_sizes=(n,))
 
 
 def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:

@@ -101,15 +101,8 @@ def _stack(dataset: Dataset, sps, indices, r: int):
     return sp, x, np.array([g.target for g in graphs])
 
 
-def _count(counters, phase: str, indices) -> None:
-    if counters is not None:
-        seen = counters.setdefault(phase, {})
-        for gi in indices:
-            seen[int(gi)] = seen.get(int(gi), 0) + 1
-
-
 def accumulate_gradients(model: Model, dataset: Dataset, sps, batch, r: int,
-                         rng: np.random.Generator, counters=None) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Add the summed training-mode gradients of the graphs ``batch`` to
     the model's buffers, one sub-batch at a time; returns their losses.
 
@@ -121,22 +114,20 @@ def accumulate_gradients(model: Model, dataset: Dataset, sps, batch, r: int,
         sp, x, targets = _stack(dataset, sps, run, r)
         loss, _, _ = model.loss_and_gradients(sp, x, targets, train_mode=True, rng=rng)
         losses.append(loss)
-        _count(counters, "train", run)
     return np.concatenate(losses)
 
 
-def _evaluate(model: Model, dataset: Dataset, sps, indices, counters=None,
-              phase: str = "eval") -> tuple[float, float]:
+def _evaluate(model: Model, dataset: Dataset, sps, indices,
+              r: int) -> tuple[float, float]:
     """(accuracy, mean loss) over the given graph indices, dropout off."""
     correct = 0
     total_loss = 0.0
     for run in sub_batches(dataset, indices):
-        sp, x, targets = _stack(dataset, sps, run, distance_cutoff(model.config))
-        _, cache = model.forward(sp, x, train_mode=False)
+        sp, x, targets = _stack(dataset, sps, run, r)
+        _, cache = model.forward(sp, x)
         losses, _ = softmax_cross_entropy(cache["logits"], targets)
         total_loss += float(losses.sum())
         correct += int((cache["logits"].argmax(axis=1) == targets).sum())
-        _count(counters, phase, run)
     n = len(indices)
     return correct / n, total_loss / n
 
@@ -181,14 +172,11 @@ def single_blas_thread():
 
 def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                    fold_id: int = 0, repeat_id: int = 0,
-                   sps: list[SPTensor] | None = None,
-                   counters: dict | None = None) -> FoldReport:
+                   sps: list[SPTensor] | None = None) -> FoldReport:
     """Train on one split and report test accuracy at the best epoch.
 
-    ``split`` is the (train, validation, test) index triple.  ``counters``
-    is optional instrumentation: a dict that receives per-phase counts of
-    forward passes per graph index.  Training runs with one BLAS thread
-    (:func:`single_blas_thread`).
+    ``split`` is the (train, validation, test) index triple.  Training
+    runs with one BLAS thread (:func:`single_blas_thread`).
     """
     train_idx, val_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
     n = len(dataset.graphs)
@@ -224,8 +212,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo: lo + config.batch_size]
                 model.zero_gradients()
-                losses = accumulate_gradients(model, dataset, sps, batch, r, rng,
-                                              counters)
+                losses = accumulate_gradients(model, dataset, sps, batch, r, rng)
                 bad = np.flatnonzero(~np.isfinite(losses))
                 if bad.size:
                     raise NumericalError(
@@ -237,8 +224,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                 optimizer.step(model.gradients())
             train_losses.append(epoch_loss / len(train_idx))
 
-            val_acc, val_loss = _evaluate(model, dataset, sps, val_idx,
-                                          counters=counters, phase="val")
+            val_acc, val_loss = _evaluate(model, dataset, sps, val_idx, r)
             val_losses.append(val_loss)
             val_accuracies.append(val_acc)
             if val_acc > best_acc:  # ties keep the earliest epoch
@@ -247,8 +233,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                 best_state = model.get_state()
 
         model.set_state(best_state)
-        test_acc, _ = _evaluate(model, dataset, sps, test_idx,
-                                counters=counters, phase="test")
+        test_acc, _ = _evaluate(model, dataset, sps, test_idx, r)
     return FoldReport(
         fold_id=fold_id,
         repeat_id=repeat_id,
@@ -310,6 +295,8 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
     config.validate()
     if repeats < 1:
         raise ConfigError(f"need at least 1 repeat, got {repeats}")
+    if jobs < 1:
+        raise ConfigError(f"need at least 1 job, got {jobs}")
     tasks = []
     for repeat in range(repeats):
         repeat_config = replace(config, seed=config.seed + repeat)

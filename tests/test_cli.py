@@ -85,6 +85,13 @@ class TestTrain:
         assert code == 1
         assert "repeat" in capsys.readouterr().err
 
+    def test_zero_jobs_exits_1(self, toy_tu_dir, tmp_path, capsys):
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                     "--folds", "3", "--repeats", "1", "--epochs", "1",
+                     "--k", "10", "--jobs", "0", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "job" in capsys.readouterr().err
+
     def test_negative_r_exits_1(self, toy_tu_dir, tmp_path):
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
                      "--r", "-1", "--folds", "3", "--repeats", "1",

@@ -158,43 +158,48 @@ class TestGraphConvReference:
             assert_close(dh, ref_dh)
 
 
+def pool_one(layer, h):
+    """``layer`` applied to ``h`` as a batch of one graph."""
+    return layer.forward(h, offsets=np.array([0, h.shape[0]]))
+
+
 class TestSortPool:
     def test_orders_and_truncates(self):
-        out, _ = SortPool(k=2).forward(np.array([[1.0], [3.0], [2.0]]))
-        assert np.array_equal(out, np.array([[3.0], [2.0]]))
+        out, _ = pool_one(SortPool(k=2), np.array([[1.0], [3.0], [2.0]]))
+        assert np.array_equal(out, np.array([[[3.0], [2.0]]]))
 
     def test_pads_with_zero_rows(self):
-        out, record = SortPool(k=3).forward(np.array([[5.0, 6.0]]))
-        assert np.array_equal(out, np.array([[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]]))
+        out, record = pool_one(SortPool(k=3), np.array([[5.0, 6.0]]))
+        assert np.array_equal(out, np.array([[[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]]]))
         assert record[0].size == 1
 
     def test_identical_rows_make_order_irrelevant(self):
         h = np.tile(np.array([[2.0, 7.0]]), (4, 1))
-        out1, _ = SortPool(k=3).forward(h)
-        out2, _ = SortPool(k=3).forward(h[::-1].copy())
+        out1, _ = pool_one(SortPool(k=3), h)
+        out2, _ = pool_one(SortPool(k=3), h[::-1].copy())
         assert np.array_equal(out1, out2)
 
     def test_ties_break_on_earlier_columns(self):
         h = np.array([[0.0, 1.0], [5.0, 1.0], [3.0, 2.0]])
-        out, _ = SortPool(k=3).forward(h)
+        out, _ = pool_one(SortPool(k=3), h)
         # Last column first (2.0 wins), then the earlier column descending.
-        assert np.array_equal(out, np.array([[3.0, 2.0], [5.0, 1.0], [0.0, 1.0]]))
+        assert np.array_equal(out, np.array([[[3.0, 2.0], [5.0, 1.0], [0.0, 1.0]]]))
 
     def test_backward_is_permutation_when_k_equals_n(self):
         rng_ = np.random.default_rng(1)
         h = rng_.normal(size=(5, 3))
         h[:, -1] = [0.5, 0.1, 0.9, 0.3, 0.7]  # distinct keys
         layer = SortPool(k=5)
-        _, record = layer.forward(h)
-        dout = rng_.normal(size=(5, 3))
+        _, record = pool_one(layer, h)
+        dout = rng_.normal(size=(1, 5, 3))
         dh = layer.backward(record, dout)
-        assert sorted(map(tuple, dh)) == sorted(map(tuple, dout))
+        assert sorted(map(tuple, dh)) == sorted(map(tuple, dout[0]))
 
     def test_truncated_node_gets_zero_gradient(self):
         h = np.array([[1.0], [3.0], [2.0]])
         layer = SortPool(k=2)
-        _, record = layer.forward(h)
-        dh = layer.backward(record, np.array([[1.0], [1.0]]))
+        _, record = pool_one(layer, h)
+        dh = layer.backward(record, np.array([[[1.0], [1.0]]]))
         assert dh[0, 0] == 0.0  # the smallest row was dropped
 
 

@@ -308,6 +308,27 @@ class TestCheckpoint:
                                                                  sortpool_k=10))
         assert load_checkpoint(path).config.dropout_rate == 0
 
+    def test_unversioned_old_layout_is_format_error(self, tmp_path):
+        """A checkpoint from before the format field, whose conv1 kernel
+        has the old (filters, concat_width, 1) shape, is refused for its
+        format, not for the kernel shape."""
+        path = tmp_path / "model.npz"
+
+        def old_layout(meta, entries):
+            meta.pop("format")
+            entries["conv1.kernel"] = entries["conv1.kernel"].transpose(0, 2, 1)
+
+        self.rewrite(path, old_layout)
+        with pytest.raises(ConfigError, match="format is 'missing', expected 2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stored", ["2", 2.0, True, 1, 3])
+    def test_wrong_format_is_config_error(self, tmp_path, stored):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta.update(format=stored))
+        with pytest.raises(ConfigError, match=f"format is {stored!r}, expected 2"):
+            load_checkpoint(path)
+
     def test_missing_parameter_is_config_error(self, tmp_path):
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda _, entries: entries.pop("dense2.bias"))

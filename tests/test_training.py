@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,12 +68,41 @@ class TestTrainOneFold:
         assert accs[report.best_epoch - 1] == best
         assert all(a < best for a in accs[: report.best_epoch - 1])
 
-    def test_no_test_leakage(self, toy_dataset):
+    def test_no_test_leakage(self, toy_dataset, monkeypatch):
         split = toy_splits(toy_dataset)[2]
         train_idx, val_idx, test_idx = split
         config = dataclasses.replace(TOY_CONFIG, epochs=4)
-        counters = {}
-        train_one_fold(toy_dataset, split, config, counters=counters)
+        # Count the graphs stacked into passes, per call of the training
+        # and evaluation functions.
+        calls = []  # (function name, passes per graph index)
+
+        def track(name):
+            real = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, Counter()))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(training, name, wrapper)
+
+        track("accumulate_gradients")
+        track("_evaluate")
+        real_stack = training._stack
+
+        def stack(dataset, sps, indices, r):
+            calls[-1][1].update(int(i) for i in indices)
+            return real_stack(dataset, sps, indices, r)
+        monkeypatch.setattr(training, "_stack", stack)
+        train_one_fold(toy_dataset, split, config)
+
+        # One evaluation per epoch on validation, then the final one on test.
+        evals = [seen for name, seen in calls if name == "_evaluate"]
+        assert len(evals) == config.epochs + 1
+        counters = {
+            "train": sum((seen for name, seen in calls
+                          if name == "accumulate_gradients"), Counter()),
+            "val": sum(evals[:-1], Counter()),
+            "test": evals[-1],
+        }
         # Each test graph is evaluated exactly once, and never seen in
         # training or validation.
         assert set(counters["test"]) == {int(i) for i in test_idx}
@@ -81,6 +111,27 @@ class TestTrainOneFold:
         assert set(counters["val"]) == {int(i) for i in val_idx}
         assert not (set(counters["train"]) & set(counters["test"]))
         assert not (set(counters["val"]) & set(counters["test"]))
+
+    def test_test_block_cannot_influence_training(self, toy_dataset):
+        """Replacing every test graph's features and target leaves the
+        training and validation record bit-identical."""
+        split = toy_splits(toy_dataset)[2]
+        test_idx = set(int(i) for i in split[2])
+        rng = np.random.default_rng(12)
+        graphs = tuple(
+            dataclasses.replace(g, features=rng.normal(size=g.features.shape),
+                                target=1 - g.target) if i in test_idx else g
+            for i, g in enumerate(toy_dataset.graphs))
+        scrambled = dataclasses.replace(toy_dataset, graphs=graphs)
+        config = dataclasses.replace(TOY_CONFIG, epochs=4)
+        a = train_one_fold(toy_dataset, split, config)
+        b = train_one_fold(scrambled, split, config)
+        assert a.train_losses == b.train_losses
+        assert a.val_losses == b.val_losses
+        assert a.val_accuracies == b.val_accuracies
+        assert a.best_epoch == b.best_epoch
+        # The replacement reached the test block.
+        assert a.test_accuracy != b.test_accuracy
 
     def test_overlapping_split_rejected(self, toy_dataset):
         train, val, test = toy_splits(toy_dataset)[0]
@@ -96,6 +147,7 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="class"):
             train_one_fold(toy_dataset, split, TOY_CONFIG)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_exploding_update_raises_numerical_error(self, toy_dataset):
         split = toy_splits(toy_dataset)[0]
         config = dataclasses.replace(TOY_CONFIG, epochs=3, learning_rate=1e200)
@@ -136,6 +188,13 @@ class TestRunExperiment:
         monkeypatch.setattr(training, "precompute_sp_tensors", unreachable)
         with pytest.raises(ConfigError, match="repeat"):
             run_experiment(toy_dataset, TOY_CONFIG, folds=2, repeats=0)
+
+    def test_zero_jobs_rejected_before_precompute(self, toy_dataset, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("precompute ran")
+        monkeypatch.setattr(training, "precompute_sp_tensors", unreachable)
+        with pytest.raises(ConfigError, match="job"):
+            run_experiment(toy_dataset, TOY_CONFIG, folds=2, repeats=1, jobs=0)
 
     def test_parallel_matches_sequential(self, toy_dataset):
         config = dataclasses.replace(TOY_CONFIG, epochs=2)
