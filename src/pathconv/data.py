@@ -330,7 +330,7 @@ def stratified_folds(
         raise ConfigError(f"need at least 2 folds, got {folds}")
     targets = dataset.targets()
     rng = np.random.default_rng(seed)
-    blocks: list[list[int]] = [[] for _ in range(folds)]
+    fold_of = np.empty(targets.size, dtype=np.int64)
     # A rotation pointer shared across classes spreads the per-class
     # remainders so overall fold sizes also differ by at most one.
     pointer = int(rng.integers(folds))
@@ -341,10 +341,9 @@ def stratified_folds(
                 f"class {cls} has {idx.size} graphs, fewer than {folds} folds"
             )
         rng.shuffle(idx)
-        for pos, g in enumerate(idx):
-            blocks[(pointer + pos) % folds].append(int(g))
+        fold_of[idx] = (pointer + np.arange(idx.size)) % folds
         pointer = (pointer + idx.size) % folds
-    fold_arrays = [np.sort(np.array(b, dtype=np.int64)) for b in blocks]
+    fold_arrays = [np.flatnonzero(fold_of == f) for f in range(folds)]
 
     splits = []
     for f in range(folds):
@@ -364,9 +363,7 @@ def stratified_folds(
             train = np.sort(np.concatenate(train_parts))
         else:
             val = fold_arrays[(f + 1) % folds]
-            train = np.sort(np.concatenate(
-                [fold_arrays[i] for i in range(folds) if i not in (f, (f + 1) % folds)]
-            ))
+            train = np.flatnonzero((fold_of != f) & (fold_of != (f + 1) % folds))
         splits.append((train, val, test))
     return splits
 

@@ -104,24 +104,17 @@ def check_layer(label: str, layer, forward, x: np.ndarray,
     return results
 
 
-def check_distance_conv(seed: int = 0) -> list[CheckResult]:
+def check_graph_convs(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     graph = _test_graph(rng)
     sp = compute_sp_tensor(graph, r=2)
-    layer = DistanceConv(r=2, c_in=3, c_out=4, rng=rng)
-    h = rng.normal(size=(graph.node_count, 3))
-    projection = rng.normal(size=(graph.node_count, layer.out_width))
-    return check_layer("distance_conv", layer, lambda: layer.forward(sp, h), h, projection)
-
-
-def check_joint_conv(seed: int = 1) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    graph = _test_graph(rng)
-    sp = compute_sp_tensor(graph, r=1)
-    layer = JointConv(c_in=3, c_out=4, rng=rng)
-    h = rng.normal(size=(graph.node_count, 3))
-    projection = rng.normal(size=(graph.node_count, 4))
-    return check_layer("joint_conv", layer, lambda: layer.forward(sp, h), h, projection)
+    results = []
+    for label, layer in (("distance_conv", DistanceConv(r=2, c_in=3, c_out=4, rng=rng)),
+                         ("joint_conv", JointConv(c_in=3, c_out=4, rng=rng))):
+        h = rng.normal(size=(graph.node_count, 3))
+        projection = rng.normal(size=(graph.node_count, layer.out_width))
+        results += check_layer(label, layer, lambda: layer.forward(sp, h), h, projection)
+    return results
 
 
 def _separated_rows(rng: np.random.Generator, n: int, c: int,
@@ -267,7 +260,7 @@ def check_batched_model(seed: int = 1) -> list[CheckResult]:
     path = Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}),
                  features=np.eye(3)[rng.integers(0, 3, size=4)], target=0)
     graphs = [_test_graph(rng), mirrored, path]
-    sp = batch_sp_tensors([compute_sp_tensor(g, r=2) for g in graphs], r=2)
+    sp = batch_sp_tensors([compute_sp_tensor(g, r=2) for g in graphs])
     model = _small_model(rng)
     x = np.vstack([g.features for g in graphs])
     x += rng.normal(scale=0.3, size=x.shape)
@@ -283,8 +276,7 @@ def check_batched_model(seed: int = 1) -> list[CheckResult]:
 def run_all() -> list[CheckResult]:
     """The full finite-difference suite, layer by layer and end to end."""
     results = []
-    results += check_distance_conv()
-    results += check_joint_conv()
+    results += check_graph_convs()
     results += check_sortpool()
     results += check_conv1d()
     results += check_maxpool()

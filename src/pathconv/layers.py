@@ -32,29 +32,27 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
 
 
-class DistanceConv:
-    """Graph convolution with one weight matrix per shortest-path distance.
+class GraphConv:
+    """Graph convolution: output block j is tanh(Q_j h W_j), the blocks
+    side by side, so the output is blocks * c_out columns wide.
 
-    For each distance j in 0..r the input rows are averaged over the nodes
-    at distance exactly j, multiplied by the distance-specific weight
-    matrix and squashed with tanh; the r+1 blocks are concatenated
-    column-wise, giving an output width of (r+1) * c_out.
-
-    The product is taken in the cheaper order, P_j (h W_j): one GEMM
-    projects h onto every W_j at once, block 0 is kept as it is (P_0 = I)
-    and each later block is propagated at the c_out width.
+    The product is taken in the cheaper order, Q_j (h W_j): one GEMM
+    projects h onto every W_j at once, and the operators act at the c_out
+    width.  A subclass supplies them as two methods: ``_propagate(sp, z)``
+    returns Q z for the projection z, with the state its transpose needs,
+    and ``_propagate_transpose(sp, state, g)`` returns Q^T g for the
+    gradient g at the pre-activation.  Either may overwrite its argument.
     """
 
-    def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator):
-        self.r = r
+    def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator):
         self.c_in = c_in
         self.c_out = c_out
-        self.weights = [glorot_uniform(rng, c_in, c_out) for _ in range(r + 1)]
+        self.weights = [glorot_uniform(rng, c_in, c_out) for _ in range(blocks)]
         self.grad_weights = [np.zeros_like(w) for w in self.weights]
 
     @property
     def out_width(self) -> int:
-        return (self.r + 1) * self.c_out
+        return len(self.weights) * self.c_out
 
     def _block(self, a: np.ndarray, j: int) -> np.ndarray:
         return a[:, j * self.c_out:(j + 1) * self.c_out]
@@ -64,29 +62,22 @@ class DistanceConv:
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
         w = np.concatenate(self.weights, axis=1)
-        if out is None:
-            out = np.empty((h.shape[0], self.out_width))
-        np.matmul(h, w, out=out)
-        for j in range(1, self.r + 1):
-            block = self._block(out, j)
-            block[...] = propagate(sp, j, block)
-        np.tanh(out, out=out)
-        return out, (sp, h, w, out)
+        z, state = self._propagate(sp, h @ w)
+        act = np.tanh(z, out=out)
+        return act, (sp, h, w, act, state)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
         """Returns the input gradient, or None when ``input_grad`` is off.
 
-        The gradient at the projection, dz_j = P_j^T (dout_j * tanh'), is
-        propagated at the c_out width; one GEMM then gives every weight
-        gradient h^T dz and one more the input gradient dz W^T.
+        The gradient at the projection, dz = Q^T (dout * tanh'), is taken
+        at the c_out width; one GEMM then gives every weight gradient
+        h^T dz and one more the input gradient dz W^T.
         """
-        sp, h, w, act = cache
+        sp, h, w, act, state = cache
         dz = np.multiply(act, act)  # in place: fresh arrays this size are slow to get
         np.subtract(1.0, dz, out=dz)
         dz *= dout
-        for j in range(1, self.r + 1):
-            block = self._block(dz, j)
-            block[...] = propagate_transpose(sp, j, block)
+        dz = self._propagate_transpose(sp, state, dz)
         grad = h.T @ dz
         for j, g in enumerate(self.grad_weights):
             g += self._block(grad, j)
@@ -99,50 +90,48 @@ class DistanceConv:
         return [(f"w{j}", g) for j, g in enumerate(self.grad_weights)]
 
 
-class JointConv:
-    """Baseline graph convolution: joint mean over a node and its direct
-    neighbors, one shared weight matrix, tanh.
+class DistanceConv(GraphConv):
+    """One weight matrix per shortest-path distance: block j in 0..r is
+    the mean over the nodes at distance exactly j, Q_j = P_j.  Block 0
+    is kept as it is (P_0 = I) and each later block is propagated in
+    place."""
 
-    The mean is taken after the projection, as norm * (z + d * P_1 z) with
-    z = h W, so the sparse product runs at the c_out width.
-    """
+    def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator):
+        self.r = r
+        super().__init__(r + 1, c_in, c_out, rng)
+
+    def _propagate(self, sp: SPTensor, z: np.ndarray):
+        for j in range(1, self.r + 1):
+            block = self._block(z, j)
+            block[...] = propagate(sp, j, block)
+        return z, None
+
+    def _propagate_transpose(self, sp: SPTensor, state, g: np.ndarray) -> np.ndarray:
+        for j in range(1, self.r + 1):
+            block = self._block(g, j)
+            block[...] = propagate_transpose(sp, j, block)
+        return g
+
+
+class JointConv(GraphConv):
+    """Baseline graph convolution: one weight matrix and the joint mean
+    over a node and its direct neighbors, Q = N (I + D P_1), where D holds
+    the neighbor counts d and N their joint normalizers 1 / (1 + d) on
+    its diagonal."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        self.c_in = c_in
-        self.c_out = c_out
-        self.weight = glorot_uniform(rng, c_in, c_out)
-        self.grad_weight = np.zeros_like(self.weight)
+        super().__init__(1, c_in, c_out, rng)
 
-    @property
-    def out_width(self) -> int:
-        return self.c_out
-
-    def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
-        """``out``, if given, is the (nodes, out_width) array to write into."""
-        if h.shape[1] != self.c_in:
-            raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
+    def _propagate(self, sp: SPTensor, z: np.ndarray):
         # Neighbor count, exact: one stored entry per neighbor.
         d = np.diff(sp.mats[1].indptr)[:, None]
         norm = 1.0 / (1 + d)  # self-contribution keeps every row sum >= 1
-        z = h @ self.weight
-        act = np.tanh(norm * (z + d * propagate(sp, 1, z)), out=out)
-        return act, (sp, d, norm, h, act)
+        return norm * (z + d * propagate(sp, 1, z)), (d, norm)
 
-    def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
-        """Returns the input gradient, or None when ``input_grad`` is off.
-        As in :class:`DistanceConv`, the mean's transpose acts on the
-        c_out-wide gradient."""
-        sp, d, norm, h, act = cache
-        s = norm * (dout * (1.0 - act ** 2))
-        back = s + propagate_transpose(sp, 1, d * s)  # (I + D P_1)^T, joint row norm
-        self.grad_weight += h.T @ back
-        return back @ self.weight.T if input_grad else None
-
-    def parameters(self):
-        return [("w", self.weight)]
-
-    def gradients(self):
-        return [("w", self.grad_weight)]
+    def _propagate_transpose(self, sp: SPTensor, state, g: np.ndarray) -> np.ndarray:
+        d, norm = state
+        s = norm * g
+        return s + propagate_transpose(sp, 1, d * s)  # (I + D P_1)^T N g
 
 
 class SortPool:

@@ -42,8 +42,9 @@ MODES = ("parametric", "dgcnn_baseline")
 CONV2_WIDTH = 5
 
 # Version of the checkpoint layout.  Checkpoints without one predate it
-# (their conv1 kernel has another shape) and are refused.
-CHECKPOINT_FORMAT = 2
+# (their conv1 kernel has another shape) and are refused, as are format-2
+# ones (their baseline weights are named gconvI.w, not gconvI.w0).
+CHECKPOINT_FORMAT = 3
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,9 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
     return SPTensor(r=r, mats=tuple(mats), graph_sizes=(n,))
 
 
-def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
-    """The graphs of ``sps`` as one disconnected graph, distances 0..r.
+def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:
+    """The graphs of ``sps`` as one disconnected graph, with the distances
+    0..r that every tensor holds, r being the smallest cutoff among them.
 
     Every ``mats[j]`` is block-diagonal, built by concatenating the CSR
     arrays, so each row keeps its entries in their original order and
@@ -119,6 +120,7 @@ def batch_sp_tensors(sps: list[SPTensor], r: int) -> SPTensor:
     """
     if len(sps) == 1:
         return sps[0]
+    r = min(sp.r for sp in sps)
     sizes = tuple(sp.node_count for sp in sps)
     n = sum(sizes)
     row_starts = np.cumsum((0,) + sizes[:-1], dtype=np.int32)

@@ -92,16 +92,16 @@ def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:
     return runs
 
 
-def _stack(dataset: Dataset, sps, indices, r: int):
+def _stack(dataset: Dataset, sps, indices):
     """One pass's input: the graphs as one disconnected graph, their
     stacked feature rows and their targets."""
     graphs = [dataset.graphs[i] for i in indices]
-    sp = batch_sp_tensors([sps[i] for i in indices], r)
+    sp = batch_sp_tensors([sps[i] for i in indices])
     x = np.concatenate([g.features for g in graphs])
     return sp, x, np.array([g.target for g in graphs])
 
 
-def accumulate_gradients(model: Model, dataset: Dataset, sps, batch, r: int,
+def accumulate_gradients(model: Model, dataset: Dataset, sps, batch,
                          rng: np.random.Generator) -> np.ndarray:
     """Add the summed training-mode gradients of the graphs ``batch`` to
     the model's buffers, one sub-batch at a time; returns their losses.
@@ -111,19 +111,18 @@ def accumulate_gradients(model: Model, dataset: Dataset, sps, batch, r: int,
     """
     losses = []
     for run in sub_batches(dataset, batch):
-        sp, x, targets = _stack(dataset, sps, run, r)
+        sp, x, targets = _stack(dataset, sps, run)
         loss, _, _ = model.loss_and_gradients(sp, x, targets, train_mode=True, rng=rng)
         losses.append(loss)
     return np.concatenate(losses)
 
 
-def _evaluate(model: Model, dataset: Dataset, sps, indices,
-              r: int) -> tuple[float, float]:
+def _evaluate(model: Model, dataset: Dataset, sps, indices) -> tuple[float, float]:
     """(accuracy, mean loss) over the given graph indices, dropout off."""
     correct = 0
     total_loss = 0.0
     for run in sub_batches(dataset, indices):
-        sp, x, targets = _stack(dataset, sps, run, r)
+        sp, x, targets = _stack(dataset, sps, run)
         _, cache = model.forward(sp, x)
         losses, _ = softmax_cross_entropy(cache["logits"], targets)
         total_loss += float(losses.sum())
@@ -188,9 +187,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
         raise ConfigError("training block is missing at least one class")
 
     start = time.perf_counter()
-    r = distance_cutoff(config)
     if sps is None:
-        sps = precompute_sp_tensors(dataset, r)
+        sps = precompute_sp_tensors(dataset, distance_cutoff(config))
     config = with_resolved_k(config, [dataset.graphs[i].node_count for i in train_idx])
     config.validate()
 
@@ -212,7 +210,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
             for lo in range(0, len(order), config.batch_size):
                 batch = order[lo: lo + config.batch_size]
                 model.zero_gradients()
-                losses = accumulate_gradients(model, dataset, sps, batch, r, rng)
+                losses = accumulate_gradients(model, dataset, sps, batch, rng)
                 bad = np.flatnonzero(~np.isfinite(losses))
                 if bad.size:
                     raise NumericalError(
@@ -224,7 +222,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                 optimizer.step(model.gradients())
             train_losses.append(epoch_loss / len(train_idx))
 
-            val_acc, val_loss = _evaluate(model, dataset, sps, val_idx, r)
+            val_acc, val_loss = _evaluate(model, dataset, sps, val_idx)
             val_losses.append(val_loss)
             val_accuracies.append(val_acc)
             if val_acc > best_acc:  # ties keep the earliest epoch
@@ -233,7 +231,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                 best_state = model.get_state()
 
         model.set_state(best_state)
-        test_acc, _ = _evaluate(model, dataset, sps, test_idx, r)
+        test_acc, _ = _evaluate(model, dataset, sps, test_idx)
     return FoldReport(
         fold_id=fold_id,
         repeat_id=repeat_id,

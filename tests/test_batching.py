@@ -86,7 +86,7 @@ def test_batched_pass_matches_singletons(r, mode):
             total += grad
 
     model.zero_gradients()
-    sp = batch_sp_tensors(sps, cutoff)
+    sp = batch_sp_tensors(sps)
     x = np.concatenate([g.features for g in dataset.graphs])
     batch_losses, batch_probs, _ = model.loss_and_gradients(sp, x, targets)
     assert_close(batch_probs, probs)
@@ -100,7 +100,7 @@ def test_batched_pass_matches_singletons(r, mode):
     runs = sub_batches(dataset, batch)
     assert [len(run) for run in runs] == [4, 1, 2]
     model.zero_gradients()
-    budget_losses = accumulate_gradients(model, dataset, sps, batch, cutoff,
+    budget_losses = accumulate_gradients(model, dataset, sps, batch,
                                          rng=np.random.default_rng(0))
     assert_close(budget_losses, losses)
     for grad, total in zip(gradient_copy(model), summed):
@@ -144,7 +144,7 @@ def test_random_cuts_match_singletons(mode, batch):
     model.zero_gradients()
     bounds = [0, *cuts, len(graphs)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sp = batch_sp_tensors(sps[lo:hi], cutoff)
+        sp = batch_sp_tensors(sps[lo:hi])
         x = np.concatenate([g.features for g in graphs[lo:hi]])
         losses, probs, dx = model.loss_and_gradients(
             sp, x, [g.target for g in graphs[lo:hi]], input_grad=True)
@@ -170,7 +170,7 @@ def test_split_minibatch_matches_one_pass(monkeypatch):
         monkeypatch.setattr(training, "NODE_BUDGET", budget)
         rng = np.random.default_rng(42)
         model.zero_gradients()
-        losses = accumulate_gradients(model, dataset, sps, batch, 2, rng)
+        losses = accumulate_gradients(model, dataset, sps, batch, rng)
         return len(sub_batches(dataset, batch)), losses, gradient_copy(model), rng.random()
 
     passes, losses, grads, next_draw = run(10 ** 9)
@@ -199,7 +199,7 @@ class TestBatchSpTensors:
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, n=n, edge_prob=0.3) for n in (5, 1, 9)]
         sps = [compute_sp_tensor(g, 2) for g in graphs]
-        batched = batch_sp_tensors(sps, 2)
+        batched = batch_sp_tensors(sps)
         assert batched.node_count == 15
         assert batched.graph_sizes == (5, 1, 9)
         assert np.array_equal(batched.offsets, [0, 5, 6, 15])
@@ -211,7 +211,7 @@ class TestBatchSpTensors:
         rng = np.random.default_rng(4)
         graphs = [random_graph(rng, n=n, edge_prob=0.4) for n in (7, 3, 12)]
         sps = [compute_sp_tensor(g, 2) for g in graphs]
-        batched = batch_sp_tensors(sps, 2)
+        batched = batch_sp_tensors(sps)
         h = rng.normal(size=(batched.node_count, 4))
         bounds = batched.offsets
         for j in range(3):
@@ -220,14 +220,18 @@ class TestBatchSpTensors:
                 for sp, lo, hi in zip(sps, bounds[:-1], bounds[1:]):
                     assert np.array_equal(whole[lo:hi], op(sp, j, h[lo:hi]))
 
-    def test_cutoff_drops_longer_distances(self):
+    def test_one_and_several_graphs_agree_on_cutoff(self):
+        """A batch holds the distances every tensor has, one graph or many."""
         g = random_graph(np.random.default_rng(5), n=6, edge_prob=0.5)
-        batched = batch_sp_tensors([compute_sp_tensor(g, 3)] * 2, 1)
-        assert batched.r == 1 and len(batched.mats) == 2
+        deep, shallow = compute_sp_tensor(g, 3), compute_sp_tensor(g, 1)
+        for sps, r in (([deep], 3), ([deep] * 2, 3), ([shallow], 1),
+                       ([deep, shallow], 1), ([shallow, deep, deep], 1)):
+            batched = batch_sp_tensors(sps)
+            assert batched.r == r and len(batched.mats) == r + 1
 
     def test_single_graph_unchanged(self):
         sp = compute_sp_tensor(cycle_graph(4, target=0), 1)
-        single = batch_sp_tensors([sp], 1)
+        single = batch_sp_tensors([sp])
         assert single is sp
         assert np.array_equal(single.offsets, [0, 4])
 

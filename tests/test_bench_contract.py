@@ -10,6 +10,7 @@ benchmark fail here.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,12 +72,14 @@ def test_tracer_wraps_one_training_step(mode):
     graphs = [random_graph(rng, n=12, edge_prob=0.3, target=0),
               cycle_graph(9, target=1, feature_dim=3)]
     tracer = spans.Tracer()
+    methods = {(cls, attr): getattr(cls, attr)
+               for cls in spans._LAYER_CLASSES for attr in ("forward", "backward")}
     tracer.install()
     try:
         patched = list(tracer._undo)
         model = build(r=2, mode=mode)
         r = distance_cutoff(model.config)
-        sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs], r)
+        sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
         x = np.concatenate([g.features for g in graphs])
         model.loss_and_gradients(sp, x, [g.target for g in graphs])
         model.make_optimizer().step(model.gradients())
@@ -85,6 +88,8 @@ def test_tracer_wraps_one_training_step(mode):
 
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+    for (cls, attr), method in methods.items():  # no wrapper left behind
+        assert getattr(cls, attr) is method, f"{cls.__name__}.{attr} left wrapped"
     for name in ("model.forward", "model.backward", "layers.adam.step",
                  "shortest_paths.propagate", "shortest_paths.propagate_transpose",
                  "layers.gconv0.fwd", "layers.gconv0.bwd",
@@ -93,3 +98,20 @@ def test_tracer_wraps_one_training_step(mode):
         assert tracer.stats(name)[0] >= 1, f"no span recorded for {name}"
     assert tracer.gconv_flops > 0
     assert tracer.sortpool_inputs == 1
+    # One span and one flop count per layer call: a layer class whose
+    # methods were wrapped twice (as a subclass of another wrapped layer
+    # class would be) would count both twice.
+    for i in range(len(model.graph_convs)):
+        for phase in ("fwd", "bwd"):
+            assert tracer.stats(f"layers.gconv{i}.{phase}")[0] == 1
+    assert tracer.gconv_flops == sum(spans.gconv_flops(conv, sp, forward)
+                                     for conv in model.graph_convs
+                                     for forward in (True, False))
+
+
+def test_smoke_run_passes():
+    """``perfbench/smoke.py`` runs both benchmark drivers, the tracer and
+    the correctness gate on a tiny dataset and exits 0 when all hold."""
+    done = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -1,5 +1,6 @@
 """Data model, benchmark-file ingestion, and fold construction."""
 
+import hashlib
 import logging
 import tempfile
 from pathlib import Path
@@ -413,6 +414,24 @@ class TestStratifiedFolds:
         ds = _uniform_dataset([4, 4])
         with pytest.raises(ConfigError):
             stratified_folds(ds, folds=1, seed=0)
+
+    def test_partitions_are_pinned(self):
+        """Every split of mixed-class datasets hashes to the digest the
+        per-graph assignment loop gave, so the partitions the experiments
+        and the benchmark train on cannot move silently."""
+        digest = hashlib.sha256()
+        gen = np.random.default_rng(2018)
+        for classes, size in ((2, 188), (2, 1000), (3, 61), (6, 600)):
+            targets = gen.integers(0, classes, size=size)
+            ds = Dataset("MIX", tuple(path_graph(2, target=int(t)) for t in targets),
+                         num_classes=classes, feature_dim=1)
+            for folds in (2, 3, 10):
+                for seed in (0, 1, 7):
+                    for split in stratified_folds(ds, folds, seed):
+                        for part in split:
+                            digest.update(part.dtype.str.encode() + part.tobytes())
+        assert digest.hexdigest() == (
+            "fe76bddc0eac5f36f507c0cd4a1cf71f4a7f8e7e5b27bb906c8832c4b5b2f01f")
 
 
 def test_dataset_summary(tiny_tu_dir):

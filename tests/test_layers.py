@@ -85,7 +85,7 @@ class TestJointConv:
         g = Graph(1, frozenset(), np.ones((1, 1)), 0)
         sp = compute_sp_tensor(g, r=1)
         layer = JointConv(c_in=1, c_out=1, rng=rng())
-        layer.weight = np.array([[1.0]])
+        layer.weights[0] = np.array([[1.0]])
         for x in (0.3, -1.2, 5.0):
             out, _ = layer.forward(sp, np.array([[x]]))
             assert out[0, 0] == pytest.approx(math.tanh(x), abs=1e-15)
@@ -94,7 +94,7 @@ class TestJointConv:
         g = path_graph(3, target=0)
         sp = compute_sp_tensor(g, r=1)
         layer = JointConv(c_in=1, c_out=1, rng=rng())
-        layer.weight = np.array([[1.0]])
+        layer.weights[0] = np.array([[1.0]])
         out, _ = layer.forward(sp, np.array([[1.0], [2.0], [3.0]]))
         expected = np.array([[math.tanh(1.5)], [math.tanh(2.0)], [math.tanh(2.5)]])
         assert np.allclose(out, expected, rtol=0, atol=1e-15)
@@ -125,7 +125,7 @@ class TestGraphConvReference:
                    Graph(3, frozenset(), np.ones((3, 3)), 0)]
         sps = [compute_sp_tensor(g, r) for g in graphs]
         dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
-        return list(zip(sps, dists)) + [(batch_sp_tensors(sps, r), block_distances(dists))]
+        return list(zip(sps, dists)) + [(batch_sp_tensors(sps), block_distances(dists))]
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_distance_conv(self, r):
@@ -152,9 +152,9 @@ class TestGraphConvReference:
             dout = gen.normal(size=(sp.node_count, 4))
             out, cache = layer.forward(sp, h)
             dh = layer.backward(cache, dout)
-            ref_out, ref_grad, ref_dh = joint_conv_reference(dist, h, layer.weight, dout)
+            ref_out, ref_grad, ref_dh = joint_conv_reference(dist, h, layer.weights[0], dout)
             assert_close(out, ref_out)
-            assert_close(layer.grad_weight, ref_grad)
+            assert_close(layer.grad_weights[0], ref_grad)
             assert_close(dh, ref_dh)
 
 

@@ -114,7 +114,7 @@ def test_forward_matches_readout_oracle(mode, train_mode):
     graphs = [random_graph(rng, n=n, edge_prob=0.3) for n in (6, 14, 11)]
     model = build(mode=mode)
     r = distance_cutoff(model.config)
-    sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs], r)
+    sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
     x = np.vstack([g.features for g in graphs])
     probs, _ = model.forward(sp, x, train_mode=train_mode, rng=rng)
 
@@ -245,6 +245,22 @@ class TestCheckpoint:
             assert p.dtype == q.dtype
             assert np.array_equal(p, q)
 
+    def test_baseline_round_trip_names_every_weight_w0(self, tmp_path):
+        model = build(mode="dgcnn_baseline", seed=9)
+        rng = np.random.default_rng(11)
+        for _, p in model.parameters():
+            p += rng.normal(scale=0.1, size=p.shape)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            stored = sorted(name for name in data if name.startswith("gconv"))
+        assert stored == ["gconv0.w0", "gconv1.w0"]
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        for (name, p), (name2, q) in zip(model.parameters(), loaded.parameters()):
+            assert name == name2
+            assert np.array_equal(p, q)
+
     @staticmethod
     def rewrite(path, edit):
         """Save a checkpoint, let ``edit`` change its decoded metadata and its
@@ -319,14 +335,14 @@ class TestCheckpoint:
             entries["conv1.kernel"] = entries["conv1.kernel"].transpose(0, 2, 1)
 
         self.rewrite(path, old_layout)
-        with pytest.raises(ConfigError, match="format is 'missing', expected 2"):
+        with pytest.raises(ConfigError, match="format is 'missing', expected 3"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("stored", ["2", 2.0, True, 1, 3])
+    @pytest.mark.parametrize("stored", ["3", 2.0, True, 1, 2])
     def test_wrong_format_is_config_error(self, tmp_path, stored):
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda meta, _: meta.update(format=stored))
-        with pytest.raises(ConfigError, match=f"format is {stored!r}, expected 2"):
+        with pytest.raises(ConfigError, match=f"format is {stored!r}, expected 3"):
             load_checkpoint(path)
 
     def test_missing_parameter_is_config_error(self, tmp_path):

@@ -120,7 +120,7 @@ def test_transpose_bitwise_equals_indicator_formula():
         dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
         for r in range(4):
             sps = [compute_sp_tensor(g, r) for g in graphs]
-            batched = batch_sp_tensors(sps, r)
+            batched = batch_sp_tensors(sps)
             grad = rng.normal(size=(batched.node_count, 3))
             bounds = batched.offsets
             for j in range(r + 1):
@@ -142,7 +142,7 @@ def test_stored_transposes_equal_transposed_operators():
               for _ in range(4)] + [Graph(5, frozenset({(1, 3)}), np.ones((5, 1)), 0)]
     for r in range(4):
         sps = [compute_sp_tensor(g, r) for g in graphs]
-        for sp in sps + [batch_sp_tensors(sps, r)]:
+        for sp in sps + [batch_sp_tensors(sps)]:
             assert len(sp.transposes) == r + 1
             for m, t in zip(sp.mats, sp.transposes):
                 assert t.format == "csr" and t.has_canonical_format

@@ -88,9 +88,9 @@ class TestTrainOneFold:
         track("_evaluate")
         real_stack = training._stack
 
-        def stack(dataset, sps, indices, r):
+        def stack(dataset, sps, indices):
             calls[-1][1].update(int(i) for i in indices)
-            return real_stack(dataset, sps, indices, r)
+            return real_stack(dataset, sps, indices)
         monkeypatch.setattr(training, "_stack", stack)
         train_one_fold(toy_dataset, split, config)
 
