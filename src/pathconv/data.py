@@ -13,8 +13,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -24,30 +23,47 @@ from .errors import ConfigError, DatasetError
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A single undirected labeled graph.
 
-    ``edges`` holds each undirected edge exactly once as a pair (i, j)
-    with i < j; the implied adjacency matrix is symmetric with a zero
-    diagonal.  ``features`` is an (n, d) matrix whose rows are one-hot
+    ``edges`` is a read-only (m, 2) int64 array: each undirected edge once
+    as a row (i, j) with i < j, rows ascending.  The constructor takes any
+    iterable of integer pairs and raises DatasetError for a self-loop, a
+    reversed, out-of-range or duplicate pair, or input that is not (m, 2)
+    integers.  ``features`` is an (n, d) matrix whose rows are one-hot
     after encoding.  Instances are immutable and safe to share across
-    workers.
+    workers; they compare by identity.
     """
 
     node_count: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     features: np.ndarray
     target: int
 
     def __post_init__(self):
         if self.node_count < 1:
             raise DatasetError("graph must have at least one node")
-        for i, j in self.edges:
-            if i == j:
-                raise DatasetError(f"self-loop ({i}, {i}) is not allowed")
-            if not (0 <= i < j < self.node_count):
-                raise DatasetError(f"edge ({i}, {j}) out of range for n={self.node_count}")
+        edges = np.asarray(self.edges if isinstance(self.edges, np.ndarray)
+                           else list(self.edges) or np.empty((0, 2), dtype=np.int64))
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise DatasetError(f"edges must be (m, 2) integers, got {edges.dtype} {edges.shape}")
+        edges = edges.astype(np.int64, copy=False)
+        i, j = edges.T
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.node_count))
+        if bad.size:
+            i, j = edges[bad[0]].tolist()
+            raise DatasetError(f"self-loop ({i}, {i}) is not allowed" if i == j
+                               else f"edge ({i}, {j}) out of range for n={self.node_count}")
+        key = i * self.node_count + j
+        if (key[1:] <= key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            edges, key = edges[order], key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                raise DatasetError(f"edge {tuple(edges[dup[0]].tolist())} listed twice")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
         if self.features.ndim != 2 or self.features.shape[0] != self.node_count:
             raise DatasetError(
                 f"feature matrix shape {self.features.shape} does not match n={self.node_count}"
@@ -58,27 +74,13 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists derived from ``edges``."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    def _edge_array(self) -> np.ndarray:
-        """``edges`` as an (m, 2) int64 array, in no particular order."""
-        return np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * len(self.edges)).reshape(-1, 2)
-
     def degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_array().ravel(), minlength=self.node_count)
+        return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (derived on demand)."""
         a = np.zeros((self.node_count, self.node_count))
-        i, j = self._edge_array().T
+        i, j = self.edges.T
         a[i, j] = a[j, i] = 1.0
         return a
 
@@ -227,13 +229,12 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
             name, dropped_self_loops, dropped_duplicates,
         )
     # Each undirected edge once as sorted (lo, hi) positions, so the edges
-    # of graph g form the run edge_offsets[g]:edge_offsets[g + 1].
+    # of graph g form the run edge_offsets[g]:edge_offsets[g + 1]; shifted
+    # to the graph's own node ids, that run is its sorted edge array.
     a, b = position[u[~self_loop]], position[v[~self_loop]]
     lo, hi = np.divmod(_distinct(np.minimum(a, b) * total_nodes + np.maximum(a, b)), total_nodes)
     edge_offsets = np.searchsorted(lo, offsets)
-    shift = np.repeat(offsets[:-1], np.diff(edge_offsets))
-    lo -= shift
-    hi -= shift
+    edges = np.stack((lo, hi), 1) - np.repeat(offsets[:-1], np.diff(edge_offsets))[:, None]
 
     # Class labels remapped to 0..C-1 in sorted original order.
     classes, targets = np.unique(raw_graph_labels[:, 0], return_inverse=True)
@@ -261,7 +262,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     graphs = tuple(
         Graph(
             node_count=int(sizes[g]),
-            edges=frozenset(zip(lo[e0:e1].tolist(), hi[e0:e1].tolist())),
+            edges=edges[e0:e1],
             features=features[offsets[g]:offsets[g + 1]],
             target=int(targets[g]),
         )
@@ -283,7 +284,7 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     graphs = dataset.graphs
     sizes = [g.node_count for g in graphs]
     first_ids = np.cumsum([1] + sizes[:-1])
-    edges = np.concatenate([g._edge_array() + first for g, first in zip(graphs, first_ids)])
+    edges = np.concatenate([g.edges + first for g, first in zip(graphs, first_ids)])
     directed = np.concatenate([edges, edges[:, ::-1]])
 
     def write(suffix: str, rows) -> None:

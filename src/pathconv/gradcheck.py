@@ -70,12 +70,10 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
-def _test_graph(rng: np.random.Generator, n: int = 7) -> Graph:
-    edges = {(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6)}
-    d = 3
-    features = np.zeros((n, d))
-    features[np.arange(n), rng.integers(0, d, size=n)] = 1.0
-    return Graph(node_count=n, edges=frozenset(edges), features=features, target=0)
+def _test_graph(rng: np.random.Generator) -> Graph:
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4), (4, 5), (5, 6)]
+    return Graph(node_count=7, edges=edges, features=np.eye(3)[rng.integers(0, 3, size=7)],
+                 target=0)
 
 
 def check_layer(label: str, layer, forward, x: np.ndarray,
@@ -255,9 +253,9 @@ def check_batched_model(seed: int = 1) -> list[CheckResult]:
     back to, hold.  Input rows are checked on the first graph only, since
     moving one leaf alone would break the tie."""
     rng = np.random.default_rng(seed)
-    mirrored = Graph(node_count=5, edges=frozenset({(0, 1), (0, 2), (0, 3), (3, 4)}),
+    mirrored = Graph(node_count=5, edges=[(0, 1), (0, 2), (0, 3), (3, 4)],
                      features=np.eye(3)[[0, 1, 1, 2, 0]], target=1)
-    path = Graph(node_count=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}),
+    path = Graph(node_count=4, edges=[(0, 1), (1, 2), (2, 3)],
                  features=np.eye(3)[rng.integers(0, 3, size=4)], target=0)
     graphs = [_test_graph(rng), mirrored, path]
     sp = batch_sp_tensors([compute_sp_tensor(g, r=2) for g in graphs])

@@ -327,8 +327,6 @@ class Dropout:
     """Inverted dropout; identity outside training mode."""
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x: np.ndarray, train_mode: bool, rng: np.random.Generator | None):

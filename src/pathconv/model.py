@@ -278,12 +278,7 @@ class Model:
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:
     """Class probabilities for one graph, dropout off."""
-    if graph.feature_dim != model.feature_dim:
-        raise ValueError(
-            f"graph feature dimension {graph.feature_dim} does not match "
-            f"model ({model.feature_dim})"
-        )
-    if sp.node_count != graph.node_count:
+    if sp.graph_sizes != (graph.node_count,):
         raise ValueError("shortest-path tensor does not match the graph")
     probs, _ = model.forward(sp, graph.features)
     return probs[0]

@@ -76,7 +76,10 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
     if r < 0:
         raise ValueError(f"distance cutoff must be non-negative, got {r}")
     n = graph.node_count
-    nbrs = graph.neighbors
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in graph.edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     # Per distance: each row's entry count, and the rows' sorted columns
     # in row order, which is CSR with canonical (sorted) indices.
     counts = [[0] * n for _ in range(r + 1)]

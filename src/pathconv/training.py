@@ -187,10 +187,14 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
         raise ConfigError("training block is missing at least one class")
 
     start = time.perf_counter()
+    cutoff = distance_cutoff(config)
     if sps is None:
-        sps = precompute_sp_tensors(dataset, distance_cutoff(config))
+        sps = precompute_sp_tensors(dataset, cutoff)
+    elif [sp.node_count for sp in sps] != [g.node_count for g in dataset.graphs]:
+        raise ConfigError(f"{len(sps)} shortest-path tensors do not fit the {n} graphs' sizes")
+    elif min(sp.r for sp in sps) < cutoff:
+        raise ConfigError(f"shortest-path tensors stop short of distance {cutoff}")
     config = with_resolved_k(config, [dataset.graphs[i].node_count for i in train_idx])
-    config.validate()
 
     model = Model(config, dataset.feature_dim, dataset.num_classes)
     optimizer = model.make_optimizer()

@@ -53,7 +53,8 @@ def test_set_up_reads_the_benchmark_layout(tmp_path, monkeypatch, degree_feature
     assert loaded.feature_dim == (len(degrees) if degree_features else dataset.feature_dim)
     assert len(loaded) == len(sps) == len(dataset)
     for a, b, sp in zip(dataset.graphs, loaded.graphs, sps):
-        assert (b.node_count, b.edges, b.target) == (a.node_count, a.edges, a.target)
+        assert ((b.node_count, b.edges.tolist(), b.target)
+                == (a.node_count, a.edges.tolist(), a.target))
         assert len(sp.mats) == run.R + 1
         if degree_features:
             columns = [degrees.index(d) for d in a.degrees().tolist()]

@@ -39,6 +39,42 @@ class TestGraphInvariants:
         with pytest.raises(DatasetError):
             Graph(0, frozenset(), np.zeros((0, 1)), 0)
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_edges_normalized_or_rejected(self, data):
+        """A set, a list and a shuffled int32 array of the same pairs give
+        the same sorted, read-only int64 edges; each kind of bad pair, in
+        any of those forms that can hold it, raises DatasetError."""
+        n = data.draw(st.integers(2, 9))
+        features = np.ones((n, 1))
+        pairs = data.draw(st.lists(st.sampled_from(
+            [(i, j) for i in range(n) for j in range(i + 1, n)]), unique=True))
+        shuffled = np.array(data.draw(st.permutations(pairs)), dtype=np.int32).reshape(-1, 2)
+        expected = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        for form in (frozenset(pairs), list(pairs), shuffled):
+            edges = Graph(n, form, features, 0).edges
+            assert edges.dtype == np.int64 and edges.shape == expected.shape
+            assert edges.tobytes() == expected.tobytes()
+            assert not edges.flags.writeable
+
+        base = pairs or [(0, 1)]
+        i, j = data.draw(st.sampled_from(base))
+        bad_rows = {
+            "self-loop": base + [(i, i)],
+            "reversed pair": base + [(j, i)],
+            "node past n": base + [(i, n)],
+            "negative node": base + [(-1, j)],
+            "duplicate row": base + [(i, j)],
+            "three columns": [(a, b, 0) for a, b in base],
+            "float pairs": [(a + 0.5, b) for a, b in base],
+        }
+        kind = data.draw(st.sampled_from(sorted(bad_rows)))
+        # A set cannot hold a duplicate row.
+        forms = (list, np.array) if kind == "duplicate row" else (frozenset, list, np.array)
+        form = data.draw(st.sampled_from(forms))
+        with pytest.raises(DatasetError):
+            Graph(n, form(bad_rows[kind]), features, 0)
+
     def test_adjacency_symmetric_zero_diagonal(self):
         g = path_graph(4, target=0)
         a = g.adjacency()
@@ -59,7 +95,7 @@ class TestLoadTuDataset:
         # Smallest nonempty graph: two nodes, one edge.
         g0 = ds.graphs[0]
         assert g0.node_count == 2
-        assert set(g0.edges) == {(0, 1)}
+        assert g0.edges.tolist() == [[0, 1]]
         # Labels -1/1 remap to 0/1 preserving sorted order.
         assert [g.target for g in ds.graphs] == [0, 1]
         # Node labels {0, 1} one-hot encode over the whole dataset.
@@ -82,7 +118,7 @@ class TestLoadTuDataset:
             graph_labels=[5],
         )
         ds = load_tu_dataset(tmp_path, "DIRTY")
-        assert set(ds.graphs[0].edges) == {(0, 1), (1, 2)}
+        assert ds.graphs[0].edges.tolist() == [[0, 1], [1, 2]]
 
     def test_interleaved_graph_ids_keep_global_node_order(self, tmp_path):
         write_tu_files(
@@ -95,8 +131,8 @@ class TestLoadTuDataset:
         ds = load_tu_dataset(tmp_path, "MIX")
         g0, g1 = ds.graphs
         # Graph 1 holds nodes 1, 3, 5 as 0, 1, 2; graph 2 holds 2, 4 as 0, 1.
-        assert g0.edges == {(0, 2), (1, 2)}
-        assert g1.edges == {(0, 1)}
+        assert g0.edges.tolist() == [[0, 2], [1, 2]]
+        assert g1.edges.tolist() == [[0, 1]]
         assert g0.features.argmax(axis=1).tolist() == [0, 2, 4]
         assert g1.features.argmax(axis=1).tolist() == [1, 3]
 
@@ -185,7 +221,7 @@ class TestRoundTrip:
         assert ds2.feature_dim == ds.feature_dim
         for a, b in zip(ds.graphs, ds2.graphs):
             assert a.node_count == b.node_count
-            assert set(a.edges) == set(b.edges)
+            assert np.array_equal(a.edges, b.edges)
             assert np.array_equal(a.features, b.features)
             assert a.target == b.target
 
@@ -228,7 +264,7 @@ def test_save_load_round_trip(dataset):
     assert len(loaded) == len(dataset)
     for a, b in zip(dataset.graphs, loaded.graphs):
         assert b.node_count == a.node_count
-        assert b.edges == a.edges
+        assert np.array_equal(b.edges, a.edges)
         assert np.array_equal(b.features, a.features[:, columns])
         assert b.target == classes.index(a.target)
 
@@ -246,7 +282,7 @@ def test_dirty_edge_lines_load_clean(caplog, dataset, data):
     offsets = np.cumsum([1] + [g.node_count for g in dataset.graphs])
     lines = []
     for g, off in zip(dataset.graphs, offsets):
-        for i, j in sorted(g.edges):
+        for i, j in g.edges.tolist():
             direction = data.draw(st.sampled_from(["both", "forward", "backward"]))
             if direction != "backward":
                 lines.append((i + off, j + off))
@@ -276,7 +312,8 @@ def test_dirty_edge_lines_load_clean(caplog, dataset, data):
             dirty = load_tu_dataset(tmp, dataset.name)
     assert (dirty.num_classes, dirty.feature_dim) == (clean.num_classes, clean.feature_dim)
     for a, b in zip(clean.graphs, dirty.graphs, strict=True):
-        assert (b.node_count, b.edges, b.target) == (a.node_count, a.edges, a.target)
+        assert ((b.node_count, b.edges.tolist(), b.target)
+                == (a.node_count, a.edges.tolist(), a.target))
         assert np.array_equal(b.features, a.features)
     dropped = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
     if expected_loops or expected_duplicates:

@@ -21,6 +21,7 @@ from pathconv.shortest_paths import batch_sp_tensors
 
 from oracles import (
     floyd_warshall_distances,
+    path_graph,
     random_graph,
     readout_probabilities,
     sortpool_block,
@@ -84,6 +85,15 @@ class TestForward:
         sp = compute_sp_tensor(other, model.config.r)
         with pytest.raises(ValueError, match="does not match"):
             model_forward(g, sp, model)
+
+    def test_batched_sp_tensor_rejected(self):
+        """A tensor that joins two 6-node paths has the row count of one
+        12-node path, but describes two graphs."""
+        g = path_graph(12, target=0, feature_dim=3)
+        sp = batch_sp_tensors([compute_sp_tensor(path_graph(6, target=0), 2)] * 2)
+        assert sp.node_count == g.node_count
+        with pytest.raises(ValueError, match="does not match"):
+            model_forward(g, sp, build())
 
     def test_dropout_needs_rng_in_train_mode(self):
         rng = np.random.default_rng(4)
@@ -378,6 +388,11 @@ class TestBuildErrors:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
             build(num_classes=1)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigError, match="dropout rate"):
+            build(dropout_rate=rate)
 
 
 class TestResolveSortpoolK:

@@ -14,12 +14,15 @@ from pathconv import (
     FoldReport,
     ModelConfig,
     NumericalError,
+    compute_sp_tensor,
     emit_report,
     run_experiment,
     stratified_folds,
     train_one_fold,
 )
 import pathconv.training as training
+
+from oracles import path_graph
 
 TOY_CONFIG = ModelConfig(r=2, sortpool_k=10, epochs=50, batch_size=16,
                          learning_rate=1e-3, seed=3)
@@ -146,6 +149,26 @@ class TestTrainOneFold:
         split = (class0[:-1], np.array([class0[-1]]), class1)
         with pytest.raises(ConfigError, match="class"):
             train_one_fold(toy_dataset, split, TOY_CONFIG)
+
+    def test_sps_one_short_rejected(self, toy_dataset):
+        split = toy_splits(toy_dataset)[0]
+        sps = training.precompute_sp_tensors(toy_dataset, TOY_CONFIG.r)
+        with pytest.raises(ConfigError, match="19 shortest-path tensors .* 20 graphs"):
+            train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps[:-1])
+
+    def test_sps_node_count_mismatch_rejected(self, toy_dataset):
+        split = toy_splits(toy_dataset)[0]
+        sps = training.precompute_sp_tensors(toy_dataset, TOY_CONFIG.r)
+        bigger = path_graph(toy_dataset.graphs[3].node_count + 1, target=0)
+        sps[3] = compute_sp_tensor(bigger, TOY_CONFIG.r)
+        with pytest.raises(ConfigError, match="do not fit"):
+            train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps)
+
+    def test_sps_below_distance_cutoff_rejected(self, toy_dataset):
+        split = toy_splits(toy_dataset)[0]
+        sps = training.precompute_sp_tensors(toy_dataset, 1)
+        with pytest.raises(ConfigError, match="stop short of distance 2"):
+            train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_exploding_update_raises_numerical_error(self, toy_dataset):
