@@ -44,8 +44,11 @@ class Graph:
     def __post_init__(self):
         if self.node_count < 1:
             raise DatasetError("graph must have at least one node")
-        edges = np.asarray(self.edges if isinstance(self.edges, np.ndarray)
-                           else list(self.edges) or np.empty((0, 2), dtype=np.int64))
+        try:
+            edges = np.asarray(self.edges if isinstance(self.edges, np.ndarray)
+                               else list(self.edges) or np.empty((0, 2), dtype=np.int64))
+        except (TypeError, ValueError) as exc:  # not iterable, or ragged pairs
+            raise DatasetError(f"edges must be (m, 2) integers: {exc}") from None
         if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
             raise DatasetError(f"edges must be (m, 2) integers, got {edges.dtype} {edges.shape}")
         edges = edges.astype(np.int64, copy=False)

@@ -6,7 +6,8 @@ binary matrix whose (i, k) entry is 1 exactly when the shortest-path
 distance between i and k is j, and D_j holds its row counts, so row i of
 P_j stores 1 / (number of nodes at distance j from i) at each of those
 nodes.  P_0 is the identity, P_1 has the support of the adjacency
-matrix, and the supports of the operators are pairwise disjoint.
+matrix, and the supports of the operators are pairwise disjoint: S_j
+holds the nonzeros of (A + I)^j that (A + I)^(j-1) lacks.
 Propagation at distance j, P_j @ h, replaces each node's row by the mean
 over its distance-j neighbors; P_0 = I is applied as a copy-free no-op.
 Backpropagation needs P_j^T = S_j D_j^-1, which each tensor builds on
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -65,50 +67,49 @@ class SPTensor:
         return tuple(transposed)
 
 
-def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
-    """Build the operators P_0..P_r with one depth-limited breadth-first
-    visit per node.
+def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
+    """The operators P_0..P_r of each graph in ``graphs``, built together.
 
-    Pairs at distance greater than r (including disconnected pairs) appear
-    in no matrix.  Worst case O(n * (n + m)) per graph; the depth bound
-    only ever shrinks the visits.
+    Ring j, the pairs at distance exactly j, holds what the product of
+    ring j - 1 with the graphs' block-diagonal A + I reaches and no earlier
+    ring holds.  The products are boolean, so no count of paths can wrap
+    to zero.  Each ring is cut back into per-graph CSR arrays with sorted
+    int32 indices.
     """
     if r < 0:
         raise ValueError(f"distance cutoff must be non-negative, got {r}")
-    n = graph.node_count
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in graph.edges.tolist():
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    # Per distance: each row's entry count, and the rows' sorted columns
-    # in row order, which is CSR with canonical (sorted) indices.
-    counts = [[0] * n for _ in range(r + 1)]
-    cols: list[list[int]] = [[] for _ in range(r + 1)]
-    for src in range(n):
-        seen = {src}
-        frontier = [src]
-        for depth in range(1, r + 1):
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            nxt.sort()
-            counts[depth][src] = len(nxt)
-            cols[depth] += nxt
-            frontier = nxt
+    sizes = [g.node_count for g in graphs]
+    offsets = list(accumulate(sizes, initial=0))
+    n = offsets[-1]
+    edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, offsets)]
+                           or [np.empty((0, 2), np.int64)])
+    loops = np.arange(n)
+    rows, cols = np.concatenate((edges, edges[:, ::-1], np.c_[loops, loops])).T
+    step = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+    reach = ring = sparse.identity(n, dtype=bool, format="csr")
+    rings = []
+    for _ in range(r):
+        ring = ring @ step
+        ring.sort_indices()
+        ring = ring > reach
+        reach = reach + ring
+        counts = np.diff(ring.indptr)
+        rings.append((ring.indptr, ring.indices, 1.0 / np.repeat(counts, counts)))
+    tensors = []
+    for size, lo, hi in zip(sizes, offsets, offsets[1:]):
+        mats = [sparse.identity(size, format="csr")]
+        for indptr, indices, data in rings:
+            start, stop = indptr[lo], indptr[hi]
+            mats.append(sparse.csr_matrix(
+                (data[start:stop], indices[start:stop] - lo, indptr[lo:hi + 1] - start),
+                shape=(size, size)))
+        tensors.append(SPTensor(r=r, mats=tuple(mats), graph_sizes=(size,)))
+    return tensors
 
-    mats = [sparse.identity(n, format="csr")]
-    for j in range(1, r + 1):
-        row_counts = np.array(counts[j])
-        indptr = np.concatenate(([0], np.cumsum(row_counts)))
-        data = 1.0 / np.repeat(row_counts, row_counts)  # 1 / c, c times per row
-        mats.append(sparse.csr_matrix(
-            (data, np.array(cols[j], dtype=np.int32), indptr), shape=(n, n)))
-    return SPTensor(r=r, mats=tuple(mats), graph_sizes=(n,))
+
+def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
+    """The operators P_0..P_r of one graph: ``sp_tensors([graph], r)[0]``."""
+    return sp_tensors([graph], r)[0]
 
 
 def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:

@@ -30,7 +30,8 @@ from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError
 from .layers import softmax_cross_entropy
 from .model import Model, ModelConfig, distance_cutoff, with_resolved_k
-from .shortest_paths import SPTensor, batch_sp_tensors, compute_sp_tensor
+from .shortest_paths import SPTensor, batch_sp_tensors, sp_tensors
+from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py wraps it by name
 
 log = logging.getLogger(__name__)
 
@@ -73,8 +74,11 @@ class ExperimentReport:
 
 
 def precompute_sp_tensors(dataset: Dataset, r: int) -> list[SPTensor]:
-    """One shortest-path tensor per graph; r is fixed per experiment."""
-    return [compute_sp_tensor(g, r) for g in dataset.graphs]
+    """One shortest-path tensor per graph; r is fixed per experiment.
+    Built one ``sub_batches`` run at a time: a product over the whole
+    dataset leaves more memory resident, which forked pool workers inherit."""
+    runs = sub_batches(dataset, np.arange(len(dataset)))
+    return [sp for run in runs for sp in sp_tensors([dataset.graphs[i] for i in run], r)]
 
 
 def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:

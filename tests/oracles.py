@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here shares code with the implementation under test: distances
-come from Floyd-Warshall instead of breadth-first search, the read-out is
+come from Floyd-Warshall instead of sparse matrix products, the read-out is
 composed from plain numpy products, and gradients are checked elsewhere
 against central finite differences.
 """

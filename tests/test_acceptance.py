@@ -133,7 +133,7 @@ class TestDatasetStatistics:
 
 
 def test_shortest_path_oracle():
-    """200 random graphs: breadth-first tensors equal Floyd-Warshall, < 10s."""
+    """200 random graphs: sparse-product tensors equal Floyd-Warshall, < 10s."""
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
     for trial in range(200):

@@ -343,13 +343,13 @@ def test_gradcheck_covers_batched_model():
 
 def test_baseline_mode_builds_only_distance_one(toy_dataset, monkeypatch):
     seen = []
-    real = training.compute_sp_tensor
+    real = training.precompute_sp_tensors
 
-    def recording(graph, r):
+    def recording(dataset, r):
         seen.append(r)
-        return real(graph, r)
+        return real(dataset, r)
 
-    monkeypatch.setattr(training, "compute_sp_tensor", recording)
+    monkeypatch.setattr(training, "precompute_sp_tensors", recording)
     config = dataclasses.replace(TOY_CONFIG, r=3, mode="dgcnn_baseline", epochs=1)
     training.run_experiment(toy_dataset, config, folds=2, repeats=1)
     train_one_fold(toy_dataset, toy_splits(toy_dataset)[0], config)

@@ -67,13 +67,17 @@ class TestGraphInvariants:
             "duplicate row": base + [(i, j)],
             "three columns": [(a, b, 0) for a, b in base],
             "float pairs": [(a + 0.5, b) for a, b in base],
+            "ragged pairs": base + [(i, j, 0)],
         }
         kind = data.draw(st.sampled_from(sorted(bad_rows)))
-        # A set cannot hold a duplicate row.
-        forms = (list, np.array) if kind == "duplicate row" else (frozenset, list, np.array)
+        # A set cannot hold a duplicate row, nor an array ragged rows.
+        forms = {"duplicate row": (list, np.array), "ragged pairs": (frozenset, list)}.get(
+            kind, (frozenset, list, np.array))
         form = data.draw(st.sampled_from(forms))
         with pytest.raises(DatasetError):
             Graph(n, form(bad_rows[kind]), features, 0)
+        with pytest.raises(DatasetError):
+            Graph(n, n, features, 0)  # not an iterable of pairs
 
     def test_adjacency_symmetric_zero_diagonal(self):
         g = path_graph(4, target=0)

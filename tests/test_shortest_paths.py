@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
-from pathconv import Graph, compute_sp_tensor, propagate
+from pathconv import Dataset, Graph, compute_sp_tensor, propagate
 from pathconv.layers import DistanceConv
 from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
+from pathconv.training import NODE_BUDGET, precompute_sp_tensors
 
 from oracles import (
     floyd_warshall_distances,
@@ -71,9 +74,59 @@ def test_agrees_with_floyd_warshall_on_random_graphs():
             assert np.array_equal(sp.mats[j].toarray(), expected), (n, r, j)
 
 
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.data())
+def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
+    """``precompute_sp_tensors``, which builds runs of graphs together,
+    gives every graph the arrays of ``compute_sp_tensor`` bit for bit and
+    dtype for dtype, with canonical indices, equal to the Floyd-Warshall
+    operators.  The datasets hold single-node, edgeless and disconnected
+    graphs, and one graph larger than NODE_BUDGET, which forms a run of
+    its own."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes = data.draw(st.lists(st.integers(1, 30), max_size=25))
+    graphs = [random_graph(rng, n, edge_prob=data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.9))))
+              for n in sizes]
+    left, right = random_graph(rng, 5, edge_prob=0.5), random_graph(rng, 7, edge_prob=0.5)
+    graphs += [
+        Graph(1, [], np.ones((1, 3)), 0),
+        Graph(6, [], np.ones((6, 3)), 0),
+        Graph(12, np.concatenate([left.edges, right.edges + 5]),
+              np.concatenate([left.features, right.features]), 0),
+        random_graph(rng, NODE_BUDGET + data.draw(st.integers(1, 40)), edge_prob=0.01),
+    ]
+    graphs = data.draw(st.permutations(graphs))
+    dataset = Dataset("mixed", tuple(graphs), num_classes=1, feature_dim=3)
+    dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
+    for r in range(4):
+        sps = precompute_sp_tensors(dataset, r)
+        assert len(sps) == len(graphs)
+        for g, dist, sp in zip(graphs, dists, sps):
+            assert sp.r == r and sp.graph_sizes == (g.node_count,)
+            for j, (m, ref) in enumerate(zip(sp.mats, compute_sp_tensor(g, r).mats, strict=True)):
+                for name, dtype in (("indptr", np.int32), ("indices", np.int32),
+                                    ("data", np.float64)):
+                    got, want = getattr(m, name), getattr(ref, name)
+                    assert got.dtype == want.dtype == dtype, (name, j)
+                    assert got.tobytes() == want.tobytes(), (name, j)
+                assert m.has_canonical_format
+                assert np.array_equal(m.toarray(), normalized_from_distances(dist, j)), (r, j)
+
+
+def test_pair_with_many_shortest_paths_found():
+    """Nodes 0 and 1 share 256 neighbors, so 256 shortest paths join them;
+    the distance-2 pair must not be lost to a path count kept in 8 bits."""
+    n = 258
+    g = Graph(n, [(a, k) for a in (0, 1) for k in range(2, n)], np.ones((n, 1)), 0)
+    sp = compute_sp_tensor(g, r=2)
+    dist = floyd_warshall_distances(n, g.edges)
+    for j in range(3):
+        assert np.array_equal(sp.mats[j].toarray(), normalized_from_distances(dist, j)), j
+
+
 def test_rows_stored_sorted_without_duplicates():
     # Propagation sums each row in stored order, so a canonical layout
-    # keeps the bits independent of the order the search visits nodes in.
+    # keeps the bits independent of the order the builder finds pairs in.
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = random_graph(rng, n=int(rng.integers(1, 25)), edge_prob=0.3)
