@@ -41,7 +41,8 @@ class GraphConv:
     width.  A subclass supplies them as two methods: ``_propagate(sp, z)``
     returns Q z for the projection z, with the state its transpose needs,
     and ``_propagate_transpose(sp, state, g)`` returns Q^T g for the
-    gradient g at the pre-activation.  Either may overwrite its argument.
+    gradient g at the pre-activation, applying each P_j^T through the CSC
+    view in ``sp.transposes``.  Either may overwrite its argument.
     """
 
     def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator):
@@ -324,16 +325,14 @@ class ReLU:
 
 
 class Dropout:
-    """Inverted dropout; identity outside training mode."""
+    """Inverted dropout, drawn from ``rng``; the identity when it is None."""
 
     def __init__(self, rate: float):
         self.rate = rate
 
-    def forward(self, x: np.ndarray, train_mode: bool, rng: np.random.Generator | None):
-        if not train_mode or self.rate == 0.0:
+    def forward(self, x: np.ndarray, rng: np.random.Generator | None):
+        if rng is None or self.rate == 0.0:
             return x, None
-        if rng is None:
-            raise ValueError("dropout in training mode needs a random generator")
         mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * mask, mask
 

@@ -187,17 +187,17 @@ class Model:
             caches.append(cache)
         return hcat, caches
 
-    def forward(self, sp: SPTensor, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None):
+    def forward(self, sp: SPTensor, x: np.ndarray, rng: np.random.Generator | None = None):
         """Class probabilities, one row per graph of ``sp``, plus the cache
-        backward needs.  ``x`` stacks the graphs' feature rows."""
+        backward needs.  ``x`` stacks the graphs' feature rows.  Dropout
+        draws its mask from ``rng`` and is off without one."""
         hcat, conv_caches = self._convolve(sp, x)
         h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
         readout_caches = []
         for layer in self.readout:
             h, layer_cache = layer.forward(h)
             readout_caches.append(layer_cache)
-        h, mask = self.dropout.forward(h, train_mode, rng)
+        h, mask = self.dropout.forward(h, rng)
         logits, dense2_cache = self.dense2.forward(h)
         cache = {"conv_caches": conv_caches, "record": record,
                  "readout_caches": readout_caches, "dropout_mask": mask,
@@ -227,12 +227,12 @@ class Model:
         return dnext
 
     def loss_and_gradients(self, sp: SPTensor, x: np.ndarray, target,
-                           train_mode: bool = False,
                            rng: np.random.Generator | None = None,
                            input_grad: bool = False):
         """Forward, cross-entropy, backward; returns (losses, probs, dx),
-        one loss per graph and dx only with ``input_grad``."""
-        probs, cache = self.forward(sp, x, train_mode=train_mode, rng=rng)
+        one loss per graph and dx only with ``input_grad``.  Dropout runs
+        only with ``rng``."""
+        probs, cache = self.forward(sp, x, rng=rng)
         loss, dlogits = softmax_cross_entropy(cache["logits"], np.atleast_1d(target))
         dx = self.backward(cache, dlogits, input_grad=input_grad)
         return loss, probs, dx

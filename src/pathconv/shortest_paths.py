@@ -9,9 +9,8 @@ nodes.  P_0 is the identity, P_1 has the support of the adjacency
 matrix, and the supports of the operators are pairwise disjoint: S_j
 holds the nonzeros of (A + I)^j that (A + I)^(j-1) lacks.
 Propagation at distance j, P_j @ h, replaces each node's row by the mean
-over its distance-j neighbors; P_0 = I is applied as a copy-free no-op.
-Backpropagation needs P_j^T = S_j D_j^-1, which each tensor builds on
-first use, so precompute and forward-only passes never pay for it.
+over its distance-j neighbors.  Backpropagation applies P_j^T through a
+CSC view of P_j that shares its arrays, made on first use.
 """
 
 from __future__ import annotations
@@ -30,19 +29,22 @@ from .data import Graph
 class SPTensor:
     """Per-distance propagation operators for one graph.
 
-    ``mats[j]`` is the CSR operator P_j: row i stores 1 / c at each of
-    the c nodes at distance exactly j from node i, in ascending column
-    order, and is empty when there is none.  ``transposes[j]`` is P_j^T,
-    built on first use.  Immutable after construction.
+    ``mats[j]`` is the CSR operator P_j for j in 0..r: row i stores 1 / c
+    at each of the c nodes at distance exactly j from node i, in ascending
+    column order, and is empty when there is none.  Immutable after
+    construction.
 
     ``graph_sizes`` lists the node counts of the graphs it describes, in
     row order: one for a single graph, several for a tensor from
     :func:`batch_sp_tensors`, which joins graphs into one disconnected graph.
     """
 
-    r: int
     mats: tuple[sparse.csr_matrix, ...]
     graph_sizes: tuple[int, ...]
+
+    @property
+    def r(self) -> int:
+        return len(self.mats) - 1
 
     @property
     def node_count(self) -> int:
@@ -54,17 +56,12 @@ class SPTensor:
         return np.cumsum((0,) + self.graph_sizes)
 
     @cached_property
-    def transposes(self) -> tuple[sparse.csr_matrix, ...]:
-        """P_0^T..P_r^T as CSR.  S_j is symmetric, so P_j^T = S_j D_j^-1
-        has P_j's ``indptr`` and ``indices`` (shared, not copied) and stores
-        1 / c_k at column k, c_k being row k's entry count.  P_0 is its own
-        transpose."""
-        transposed = [self.mats[0]]
-        for m in self.mats[1:]:
-            counts = np.diff(m.indptr)
-            transposed.append(sparse.csr_matrix(
-                (1.0 / counts[m.indices], m.indices, m.indptr), shape=m.shape))
-        return tuple(transposed)
+    def transposes(self) -> tuple[sparse.csc_matrix, ...]:
+        """P_0^T..P_r^T as CSC views that share all three arrays of P_j.
+        A product with one visits P_j's rows in ascending order, and each
+        row's columns in ascending order, so row i of P_j^T g sums
+        (1 / c_k) g_k over ascending k, c_k being row k's entry count."""
+        return tuple(m.T for m in self.mats)
 
 
 def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
@@ -87,23 +84,24 @@ def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
     rows, cols = np.concatenate((edges, edges[:, ::-1], np.c_[loops, loops])).T
     step = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
     reach = ring = sparse.identity(n, dtype=bool, format="csr")
-    rings = []
+    rings = [ring]
     for _ in range(r):
         ring = ring @ step
         ring.sort_indices()
         ring = ring > reach
         reach = reach + ring
-        counts = np.diff(ring.indptr)
-        rings.append((ring.indptr, ring.indices, 1.0 / np.repeat(counts, counts)))
+        rings.append(ring)
+    counts = [np.diff(ring.indptr) for ring in rings]
+    values = [1.0 / np.repeat(c, c) for c in counts]
     tensors = []
     for size, lo, hi in zip(sizes, offsets, offsets[1:]):
-        mats = [sparse.identity(size, format="csr")]
-        for indptr, indices, data in rings:
-            start, stop = indptr[lo], indptr[hi]
+        mats = []
+        for ring, data in zip(rings, values):
+            start, stop = ring.indptr[lo], ring.indptr[hi]
             mats.append(sparse.csr_matrix(
-                (data[start:stop], indices[start:stop] - lo, indptr[lo:hi + 1] - start),
+                (data[start:stop], ring.indices[start:stop] - lo, ring.indptr[lo:hi + 1] - start),
                 shape=(size, size)))
-        tensors.append(SPTensor(r=r, mats=tuple(mats), graph_sizes=(size,)))
+        tensors.append(SPTensor(mats=tuple(mats), graph_sizes=(size,)))
     return tensors
 
 
@@ -139,20 +137,19 @@ def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:
         indices += np.repeat(row_starts, nnz)
         data = np.concatenate([m.data for m in parts])
         mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return SPTensor(r=r, mats=tuple(mats), graph_sizes=sizes)
+    return SPTensor(mats=tuple(mats), graph_sizes=sizes)
 
 
 def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
     """Mean of the rows of ``h`` over the nodes at distance exactly j.
 
     Rows with no distance-j neighbor come out all-zero.  Linear in ``h``.
-    At j = 0 it returns ``h`` itself.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
     if h.shape[0] != sp.node_count:
         raise ValueError(f"h has {h.shape[0]} rows, graph has {sp.node_count} nodes")
-    return h if j == 0 else sp.mats[j] @ h
+    return sp.mats[j] @ h
 
 
 def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
@@ -160,9 +157,9 @@ def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
     this is what backpropagation through :func:`propagate` needs.
 
     P_j^T = S_j D_j^-1, since S_j is symmetric: row i sums (1 / c_k) g_k
-    over the nodes k at distance j from i, in ascending k.  One CSR
-    product with ``sp.transposes[j]``; at j = 0 it returns ``h`` itself.
+    over the nodes k at distance j from i, in ascending k.  One product
+    with the CSC view ``sp.transposes[j]``.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
-    return h if j == 0 else sp.transposes[j] @ h
+    return sp.transposes[j] @ h

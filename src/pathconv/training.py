@@ -107,7 +107,7 @@ def _stack(dataset: Dataset, sps, indices):
 
 def accumulate_gradients(model: Model, dataset: Dataset, sps, batch,
                          rng: np.random.Generator) -> np.ndarray:
-    """Add the summed training-mode gradients of the graphs ``batch`` to
+    """Add the summed gradients, dropout on, of the graphs ``batch`` to
     the model's buffers, one sub-batch at a time; returns their losses.
 
     Sub-batches draw their dropout masks one after the other from ``rng``,
@@ -116,7 +116,7 @@ def accumulate_gradients(model: Model, dataset: Dataset, sps, batch,
     losses = []
     for run in sub_batches(dataset, batch):
         sp, x, targets = _stack(dataset, sps, run)
-        loss, _, _ = model.loss_and_gradients(sp, x, targets, train_mode=True, rng=rng)
+        loss, _, _ = model.loss_and_gradients(sp, x, targets, rng=rng)
         losses.append(loss)
     return np.concatenate(losses)
 
@@ -178,14 +178,16 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                    sps: list[SPTensor] | None = None) -> FoldReport:
     """Train on one split and report test accuracy at the best epoch.
 
-    ``split`` is the (train, validation, test) index triple.  Training
-    runs with one BLAS thread (:func:`single_blas_thread`).
+    ``split`` is the (train, validation, test) index triple: together a
+    permutation of 0..n-1, with non-empty validation and test blocks.
+    Training runs with one BLAS thread (:func:`single_blas_thread`).
     """
     train_idx, val_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
     n = len(dataset.graphs)
-    combined = np.concatenate([train_idx, val_idx, test_idx])
-    if len(combined) != n or len(np.unique(combined)) != n:
+    if not np.array_equal(np.sort(np.concatenate([train_idx, val_idx, test_idx])), np.arange(n)):
         raise ConfigError("split is not a disjoint cover of the dataset")
+    if not (val_idx.size and test_idx.size):
+        raise ConfigError("split has an empty validation or test block")
     train_targets = {dataset.graphs[i].target for i in train_idx}
     if len(train_targets) != dataset.num_classes:
         raise ConfigError("training block is missing at least one class")

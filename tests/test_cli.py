@@ -78,6 +78,14 @@ class TestTrain:
                      "--k", "10", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_empty_validation_block_exits_1(self, tmp_path, capsys):
+        save_tu_dataset(build_toy_dataset(n_graphs=4), tmp_path)
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(tmp_path),
+                     "--folds", "2", "--repeats", "1", "--epochs", "1",
+                     "--k", "10", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_zero_repeats_exits_1(self, toy_tu_dir, tmp_path, capsys):
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
                      "--folds", "3", "--repeats", "0", "--epochs", "1",

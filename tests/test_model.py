@@ -95,13 +95,16 @@ class TestForward:
         with pytest.raises(ValueError, match="does not match"):
             model_forward(g, sp, build())
 
-    def test_dropout_needs_rng_in_train_mode(self):
+    def test_dropout_runs_only_with_rng(self):
         rng = np.random.default_rng(4)
         g = random_graph(rng, n=6, edge_prob=0.4)
         model = build(dropout_rate=0.5)
         sp = compute_sp_tensor(g, model.config.r)
-        with pytest.raises(ValueError, match="random generator"):
-            model.forward(sp, g.features, train_mode=True)
+        plain, cache = model.forward(sp, g.features)
+        assert cache["dropout_mask"] is None
+        dropped, cache = model.forward(sp, g.features, rng=rng)
+        assert cache["dropout_mask"] is not None
+        assert not np.array_equal(dropped, plain)
 
     def test_forward_backward_leave_parameters_unchanged(self):
         rng = np.random.default_rng(5)
@@ -114,19 +117,19 @@ class TestForward:
             assert np.array_equal(p, b)
 
 
-@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("with_rng", [False, True])
 @pytest.mark.parametrize("mode", MODES)
-def test_forward_matches_readout_oracle(mode, train_mode):
+def test_forward_matches_readout_oracle(mode, with_rng):
     """Probabilities equal a plain numpy read-out of the pooled blocks, so
-    the read-out layers run in the documented order.  Dropout is off
-    (rate 0), so training mode gives the same probabilities."""
+    the read-out layers run in the documented order.  The dropout rate is
+    0, so passing a generator gives the same probabilities."""
     rng = np.random.default_rng(8)
     graphs = [random_graph(rng, n=n, edge_prob=0.3) for n in (6, 14, 11)]
     model = build(mode=mode)
     r = distance_cutoff(model.config)
     sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
     x = np.vstack([g.features for g in graphs])
-    probs, _ = model.forward(sp, x, train_mode=train_mode, rng=rng)
+    probs, _ = model.forward(sp, x, rng=rng if with_rng else None)
 
     hcat = np.hstack(model.conv_activations(sp, x))
     bounds = sp.offsets

@@ -22,6 +22,7 @@ from pathconv import (
 )
 import pathconv.training as training
 
+from conftest import build_toy_dataset
 from oracles import path_graph
 
 TOY_CONFIG = ModelConfig(r=2, sortpool_k=10, epochs=50, batch_size=16,
@@ -142,6 +143,22 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="disjoint"):
             train_one_fold(toy_dataset, bad, TOY_CONFIG)
 
+    @pytest.mark.parametrize("bad", [-1, 20], ids=["negative", "past_end"])
+    def test_out_of_range_index_rejected(self, toy_dataset, bad):
+        """Graph 0 renamed -1 or n keeps the block sizes and the distinct
+        count, but leaves graph 0 out; -1 also names graph n - 1 twice."""
+        train, val, test = (np.array(b) for b in toy_splits(toy_dataset)[0])
+        for block in (train, val, test):
+            block[block == 0] = bad
+        with pytest.raises(ConfigError, match="disjoint cover"):
+            train_one_fold(toy_dataset, (train, val, test), TOY_CONFIG)
+
+    def test_empty_test_block_rejected(self, toy_dataset):
+        train, val, test = toy_splits(toy_dataset)[0]
+        split = (np.concatenate([train, test]), val, [])
+        with pytest.raises(ConfigError, match="empty validation or test block"):
+            train_one_fold(toy_dataset, split, TOY_CONFIG)
+
     def test_missing_class_in_training_rejected(self, toy_dataset):
         targets = toy_dataset.targets()
         class0 = np.flatnonzero(targets == 0)
@@ -204,6 +221,14 @@ class TestRunExperiment:
         assert len(failed) == 1 and failed[0].fold_id == 0
         assert math.isnan(failed[0].test_accuracy)
         assert math.isfinite(report.mean_accuracy)
+
+    def test_empty_validation_block_rejected(self):
+        """Two folds over two graphs per class leave no graph for validation."""
+        dataset = build_toy_dataset(n_graphs=4)
+        assert [len(v) for _, v, _ in stratified_folds(dataset, 2, seed=0)] == [0, 0]
+        config = dataclasses.replace(TOY_CONFIG, epochs=1)
+        with pytest.raises(ConfigError, match="empty validation or test block"):
+            run_experiment(dataset, config, folds=2, repeats=1)
 
     def test_zero_repeats_rejected_before_precompute(self, toy_dataset, monkeypatch):
         def unreachable(*args):
