@@ -38,11 +38,11 @@ class GraphConv:
 
     The product is taken in the cheaper order, Q_j (h W_j): one GEMM
     projects h onto every W_j at once, and the operators act at the c_out
-    width.  A subclass supplies them as two methods: ``_propagate(sp, z)``
-    returns Q z for the projection z, with the state its transpose needs,
-    and ``_propagate_transpose(sp, state, g)`` returns Q^T g for the
-    gradient g at the pre-activation, applying each P_j^T through the CSC
-    view in ``sp.transposes``.  Either may overwrite its argument.
+    width.  A subclass supplies them as two stateless hooks that read
+    only the operators in ``sp``: ``_propagate(sp, z)`` returns Q z for
+    the projection z, and ``_propagate_transpose(sp, g)`` returns Q^T g
+    for the gradient g at the pre-activation.  Either may overwrite its
+    argument.
     """
 
     def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator):
@@ -63,9 +63,8 @@ class GraphConv:
         if h.shape[1] != self.c_in:
             raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
         w = np.concatenate(self.weights, axis=1)
-        z, state = self._propagate(sp, h @ w)
-        act = np.tanh(z, out=out)
-        return act, (sp, h, w, act, state)
+        act = np.tanh(self._propagate(sp, h @ w), out=out)
+        return act, (sp, h, w, act)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
         """Returns the input gradient, or None when ``input_grad`` is off.
@@ -74,11 +73,11 @@ class GraphConv:
         at the c_out width; one GEMM then gives every weight gradient
         h^T dz and one more the input gradient dz W^T.
         """
-        sp, h, w, act, state = cache
+        sp, h, w, act = cache
         dz = np.multiply(act, act)  # in place: fresh arrays this size are slow to get
         np.subtract(1.0, dz, out=dz)
         dz *= dout
-        dz = self._propagate_transpose(sp, state, dz)
+        dz = self._propagate_transpose(sp, dz)
         grad = h.T @ dz
         for j, g in enumerate(self.grad_weights):
             g += self._block(grad, j)
@@ -101,13 +100,13 @@ class DistanceConv(GraphConv):
         self.r = r
         super().__init__(r + 1, c_in, c_out, rng)
 
-    def _propagate(self, sp: SPTensor, z: np.ndarray):
+    def _propagate(self, sp: SPTensor, z: np.ndarray) -> np.ndarray:
         for j in range(1, self.r + 1):
             block = self._block(z, j)
             block[...] = propagate(sp, j, block)
-        return z, None
+        return z
 
-    def _propagate_transpose(self, sp: SPTensor, state, g: np.ndarray) -> np.ndarray:
+    def _propagate_transpose(self, sp: SPTensor, g: np.ndarray) -> np.ndarray:
         for j in range(1, self.r + 1):
             block = self._block(g, j)
             block[...] = propagate_transpose(sp, j, block)
@@ -123,15 +122,15 @@ class JointConv(GraphConv):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__(1, c_in, c_out, rng)
 
-    def _propagate(self, sp: SPTensor, z: np.ndarray):
+    def _propagate(self, sp: SPTensor, z: np.ndarray) -> np.ndarray:
         # Neighbor count, exact: one stored entry per neighbor.
         d = np.diff(sp.mats[1].indptr)[:, None]
         norm = 1.0 / (1 + d)  # self-contribution keeps every row sum >= 1
-        return norm * (z + d * propagate(sp, 1, z)), (d, norm)
+        return norm * (z + d * propagate(sp, 1, z))
 
-    def _propagate_transpose(self, sp: SPTensor, state, g: np.ndarray) -> np.ndarray:
-        d, norm = state
-        s = norm * g
+    def _propagate_transpose(self, sp: SPTensor, g: np.ndarray) -> np.ndarray:
+        d = np.diff(sp.mats[1].indptr)[:, None]
+        s = 1.0 / (1 + d) * g
         return s + propagate_transpose(sp, 1, d * s)  # (I + D P_1)^T N g
 
 

@@ -83,6 +83,8 @@ class ModelConfig:
             raise ConfigError("need at least one graph convolution layer")
         if self.channels < 1 or self.conv1_filters < 1 or self.conv2_filters < 1:
             raise ConfigError("channel and filter counts must be positive")
+        if self.dense_width < 1:
+            raise ConfigError(f"dense_width must be positive, got {self.dense_width}")
         if self.sortpool_k is not None and self.sortpool_k < 1:
             raise ConfigError(f"sortpool_k must be positive, got {self.sortpool_k}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -126,6 +128,8 @@ class Model:
         config.validate()
         if config.sortpool_k is None:
             raise ConfigError("sortpool_k must be resolved before building a model")
+        if feature_dim < 1:
+            raise ConfigError(f"feature_dim must be positive, got {feature_dim}")
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {num_classes}")
         self.config = config
@@ -330,6 +334,8 @@ def load_checkpoint(path) -> Model:
                    if key not in meta]
         if missing:
             raise ConfigError(f"checkpoint metadata lacks {', '.join(missing)}")
+        if not isinstance(meta["config"], dict):
+            raise ConfigError(f"checkpoint config {meta['config']!r} is not a JSON object")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
@@ -345,6 +351,9 @@ def load_checkpoint(path) -> Model:
             if stored.shape != p.shape:
                 raise ConfigError(f"checkpoint shape mismatch for {name}: "
                                   f"{stored.shape}, model has {p.shape}")
+            if stored.dtype.kind not in "biuf":
+                raise ConfigError(f"checkpoint parameter {name} has dtype {stored.dtype}, "
+                                  "not boolean, integer or real floating point")
             np.copyto(p, stored)
     return model
 

@@ -10,13 +10,13 @@ matrix, and the supports of the operators are pairwise disjoint: S_j
 holds the nonzeros of (A + I)^j that (A + I)^(j-1) lacks.
 Propagation at distance j, P_j @ h, replaces each node's row by the mean
 over its distance-j neighbors.  Backpropagation applies P_j^T through a
-CSC view of P_j that shares its arrays, made on first use.
+CSC view of P_j that shares its arrays, made at each call.  A tensor
+never changes after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -31,8 +31,9 @@ class SPTensor:
 
     ``mats[j]`` is the CSR operator P_j for j in 0..r: row i stores 1 / c
     at each of the c nodes at distance exactly j from node i, in ascending
-    column order, and is empty when there is none.  Immutable after
-    construction.
+    column order, and is empty when there is none.  Nothing changes a
+    tensor after construction; :func:`propagate_transpose` builds each
+    P_j^T at each call.
 
     ``graph_sizes`` lists the node counts of the graphs it describes, in
     row order: one for a single graph, several for a tensor from
@@ -54,14 +55,6 @@ class SPTensor:
     def offsets(self) -> np.ndarray:
         """First row of every graph, then the total row count."""
         return np.cumsum((0,) + self.graph_sizes)
-
-    @cached_property
-    def transposes(self) -> tuple[sparse.csc_matrix, ...]:
-        """P_0^T..P_r^T as CSC views that share all three arrays of P_j.
-        A product with one visits P_j's rows in ascending order, and each
-        row's columns in ascending order, so row i of P_j^T g sums
-        (1 / c_k) g_k over ascending k, c_k being row k's entry count."""
-        return tuple(m.T for m in self.mats)
 
 
 def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
@@ -158,8 +151,10 @@ def propagate_transpose(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:
 
     P_j^T = S_j D_j^-1, since S_j is symmetric: row i sums (1 / c_k) g_k
     over the nodes k at distance j from i, in ascending k.  One product
-    with the CSC view ``sp.transposes[j]``.
+    with ``sp.mats[j].T``, a CSC view built at each call that shares all
+    three arrays of P_j and leaves ``sp`` unchanged; the product visits
+    P_j's rows, and each row's columns, in ascending order.
     """
     if not 0 <= j <= sp.r:
         raise ValueError(f"distance {j} outside 0..{sp.r}")
-    return sp.transposes[j] @ h
+    return sp.mats[j].T @ h

@@ -173,15 +173,11 @@ def single_blas_thread():
         set_(before)
 
 
-def train_one_fold(dataset: Dataset, split, config: ModelConfig,
-                   fold_id: int = 0, repeat_id: int = 0,
-                   sps: list[SPTensor] | None = None) -> FoldReport:
-    """Train on one split and report test accuracy at the best epoch.
-
-    ``split`` is the (train, validation, test) index triple: together a
-    permutation of 0..n-1, with non-empty validation and test blocks.
-    Training runs with one BLAS thread (:func:`single_blas_thread`).
-    """
+def check_split(dataset: Dataset, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (train, validation, test) index triple as int64 arrays, or
+    ConfigError unless together they are a permutation of 0..n-1, the
+    validation and test blocks are non-empty and training holds every
+    class."""
     train_idx, val_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
     n = len(dataset.graphs)
     if not np.array_equal(np.sort(np.concatenate([train_idx, val_idx, test_idx])), np.arange(n)):
@@ -191,6 +187,20 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     train_targets = {dataset.graphs[i].target for i in train_idx}
     if len(train_targets) != dataset.num_classes:
         raise ConfigError("training block is missing at least one class")
+    return train_idx, val_idx, test_idx
+
+
+def train_one_fold(dataset: Dataset, split, config: ModelConfig,
+                   fold_id: int = 0, repeat_id: int = 0,
+                   sps: list[SPTensor] | None = None) -> FoldReport:
+    """Train on one split and report test accuracy at the best epoch.
+
+    ``split`` is the (train, validation, test) index triple that
+    :func:`check_split` accepts.  Training runs with one BLAS thread
+    (:func:`single_blas_thread`).
+    """
+    train_idx, val_idx, test_idx = check_split(dataset, split)
+    n = len(dataset.graphs)
 
     start = time.perf_counter()
     cutoff = distance_cutoff(config)
@@ -310,6 +320,7 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
         repeat_config = replace(config, seed=config.seed + repeat)
         splits = stratified_folds(dataset, folds, seed=config.seed + repeat)
         for fold, split in enumerate(splits):
+            check_split(dataset, split)
             tasks.append((split, repeat_config, fold, repeat))
 
     sps = precompute_sp_tensors(dataset, distance_cutoff(config))

@@ -331,6 +331,35 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=key):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config", [[], 5, "r=2", None])
+    def test_config_not_json_object_is_config_error(self, tmp_path, config):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta.update(config=config))
+        with pytest.raises(ConfigError, match="config .* is not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [-2, 0])
+    def test_non_positive_feature_dim_is_config_error(self, tmp_path, value):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda meta, _: meta.update(feature_dim=value))
+        with pytest.raises(ConfigError, match="feature_dim"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", [str, complex])
+    def test_parameter_of_non_real_dtype_is_config_error(self, tmp_path, dtype):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.update(
+            {"dense2.bias": entries["dense2.bias"].astype(dtype)}))
+        with pytest.raises(ConfigError, match="dense2.bias"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32])
+    def test_parameter_of_real_dtype_loads(self, tmp_path, dtype):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.update(
+            {"dense2.bias": entries["dense2.bias"].astype(dtype)}))
+        assert load_checkpoint(path).dense2.bias.dtype == np.float64
+
     def test_int_for_float_field_loads(self, tmp_path):
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda meta, _: meta["config"].update(dropout_rate=0,
@@ -391,6 +420,16 @@ class TestBuildErrors:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigError):
             build(num_classes=1)
+
+    @pytest.mark.parametrize("width", [-1, 0])
+    def test_non_positive_dense_width_rejected(self, width):
+        with pytest.raises(ConfigError, match="dense_width"):
+            build(dense_width=width)
+
+    @pytest.mark.parametrize("feature_dim", [-2, 0])
+    def test_non_positive_feature_dim_rejected(self, feature_dim):
+        with pytest.raises(ConfigError, match="feature_dim"):
+            build(feature_dim=feature_dim)
 
     @pytest.mark.parametrize("rate", [-0.1, 1.0])
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pathconv import Dataset, Graph, compute_sp_tensor, propagate
-from pathconv.layers import DistanceConv
+from pathconv.layers import DistanceConv, JointConv
 from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
 from pathconv.training import NODE_BUDGET, precompute_sp_tensors
 
@@ -187,35 +187,20 @@ def test_transpose_bitwise_equals_indicator_formula():
                                       transpose_oracle(block, j, grad))
 
 
-def test_stored_transposes_equal_transposed_operators():
-    """``transposes[j]`` is mats[j].T as a CSC view that shares P_j's data,
-    indices and indptr, per graph (with isolated nodes) and batched."""
-    rng = np.random.default_rng(10)
-    graphs = [random_graph(rng, n=int(rng.integers(1, 16)), edge_prob=0.25)
-              for _ in range(4)] + [Graph(5, frozenset({(1, 3)}), np.ones((5, 1)), 0)]
-    for r in range(4):
-        sps = [compute_sp_tensor(g, r) for g in graphs]
-        for sp in sps + [batch_sp_tensors(sps)]:
-            assert len(sp.transposes) == r + 1
-            for m, t in zip(sp.mats, sp.transposes):
-                assert t.format == "csc"
-                assert m.nnz == 0 or (np.shares_memory(t.data, m.data)
-                                      and np.shares_memory(t.indices, m.indices))
-                assert np.shares_memory(t.indptr, m.indptr)
-                assert np.array_equal(t.toarray(), m.toarray().T)
-
-
-def test_transposes_built_only_by_backward():
+@pytest.mark.parametrize("make_layer", [
+    lambda rng: DistanceConv(r=2, c_in=3, c_out=2, rng=rng),
+    lambda rng: JointConv(c_in=3, c_out=2, rng=rng),
+], ids=["parametric", "dgcnn_baseline"])
+def test_tensor_unchanged_by_forward_and_backward(make_layer):
+    """A pass reads the operators and stores nothing on the tensor, for one
+    graph and for a batch."""
     rng = np.random.default_rng(11)
-    sp = compute_sp_tensor(random_graph(rng, n=9, edge_prob=0.4), 2)
-    layer = DistanceConv(r=2, c_in=3, c_out=2, rng=rng)
-    h = rng.normal(size=(9, 3))
-    for j in range(3):
-        propagate(sp, j, h)
-    out, cache = layer.forward(sp, h)
-    assert "transposes" not in vars(sp)
-    layer.backward(cache, np.ones_like(out))
-    assert "transposes" in vars(sp)
+    sps = [compute_sp_tensor(random_graph(rng, n=9, edge_prob=0.4), 2) for _ in range(2)]
+    layer = make_layer(rng)
+    for sp in sps + [batch_sp_tensors(sps)]:
+        out, cache = layer.forward(sp, rng.normal(size=(sp.node_count, 3)))
+        layer.backward(cache, np.ones_like(out))
+        assert vars(sp).keys() == {"mats", "graph_sizes"}
 
 
 def test_pairs_beyond_r_absent():

@@ -222,13 +222,19 @@ class TestRunExperiment:
         assert math.isnan(failed[0].test_accuracy)
         assert math.isfinite(report.mean_accuracy)
 
-    def test_empty_validation_block_rejected(self):
-        """Two folds over two graphs per class leave no graph for validation."""
+    def test_empty_validation_block_rejected(self, monkeypatch):
+        """Two folds over two graphs per class leave no graph for validation.
+        The split is refused before the dataset-wide precompute, so never
+        inside a pool worker."""
+        def unreachable(*args):
+            raise AssertionError("precompute ran")
+        monkeypatch.setattr(training, "precompute_sp_tensors", unreachable)
         dataset = build_toy_dataset(n_graphs=4)
         assert [len(v) for _, v, _ in stratified_folds(dataset, 2, seed=0)] == [0, 0]
         config = dataclasses.replace(TOY_CONFIG, epochs=1)
-        with pytest.raises(ConfigError, match="empty validation or test block"):
-            run_experiment(dataset, config, folds=2, repeats=1)
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError, match="empty validation or test block"):
+                run_experiment(dataset, config, folds=2, repeats=1, jobs=jobs)
 
     def test_zero_repeats_rejected_before_precompute(self, toy_dataset, monkeypatch):
         def unreachable(*args):
