@@ -5,8 +5,8 @@ writes ``folds.csv`` plus ``summary.txt``; ``inspect-dataset`` prints
 benchmark-table statistics; ``gradcheck`` runs the finite-difference
 suite and exits nonzero on failure.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
-failure.
+Exit codes: 0 success, 1 configuration error (usage errors included),
+2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def _load(args) -> "Dataset":
 
 
 def cmd_train(args) -> int:
-    dataset = _load(args)
     if args.k != "auto":
         try:
             k = int(args.k)
@@ -49,6 +48,7 @@ def cmd_train(args) -> int:
         k = None
     config = ModelConfig(r=args.r, mode=args.mode, sortpool_k=k, epochs=args.epochs,
                          seed=args.seed)
+    dataset = _load(args)
     report = run_experiment(dataset, config, folds=args.folds,
                             repeats=args.repeats, jobs=args.jobs)
     emit_report(report, args.out)
@@ -73,8 +73,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if main_report() else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathconv",
         description="Graph classification with per-distance graph convolutions.",
     )

@@ -31,9 +31,10 @@ class Graph:
     as a row (i, j) with i < j, rows ascending.  The constructor takes any
     iterable of integer pairs and raises DatasetError for a self-loop, a
     reversed, out-of-range or duplicate pair, or input that is not (m, 2)
-    integers.  ``features`` is an (n, d) matrix whose rows are one-hot
-    after encoding.  Instances are immutable and safe to share across
-    workers; they compare by identity.
+    integers.  ``node_count`` is stored as a Python int; a bool, float or
+    str raises DatasetError.  ``features`` is an (n, d) matrix whose rows
+    are one-hot after encoding.  Instances are immutable and safe to share
+    across workers; they compare by identity.
     """
 
     node_count: int
@@ -42,6 +43,9 @@ class Graph:
     target: int
 
     def __post_init__(self):
+        if isinstance(self.node_count, bool) or not isinstance(self.node_count, (int, np.integer)):
+            raise DatasetError(f"node_count must be an int, got {self.node_count!r}")
+        object.__setattr__(self, "node_count", int(self.node_count))
         if self.node_count < 1:
             raise DatasetError("graph must have at least one node")
         try:
@@ -330,8 +334,8 @@ def stratified_folds(
     block is never empty.  The same (dataset, folds, seed) always yields
     identical partitions.
     """
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
+    if type(folds) is not int or folds < 2:
+        raise ConfigError(f"need at least 2 folds, got folds={folds!r}")
     targets = dataset.targets()
     rng = np.random.default_rng(seed)
     fold_of = np.empty(targets.size, dtype=np.int64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -58,6 +58,10 @@ class ModelConfig:
     k at training time as the largest k such that at least 60% of the
     training graphs have at least k nodes (clamped to the smallest k the
     read-out supports).
+
+    A config is valid by construction: each field must be an instance of
+    its annotation (a float field also takes an int, no field a bool) and
+    within its range, or construction raises ConfigError naming it.
     """
 
     r: int = 2
@@ -74,25 +78,32 @@ class ModelConfig:
     batch_size: int = 50
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        hints = get_type_hints(ModelConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = get_args(hints[f.name]) or (hints[f.name],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name}={value!r} is not {f.type}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.r < 0:
-            raise ConfigError(f"r must be non-negative, got {self.r}")
-        if self.conv_layers < 1:
-            raise ConfigError("need at least one graph convolution layer")
-        if self.channels < 1 or self.conv1_filters < 1 or self.conv2_filters < 1:
-            raise ConfigError("channel and filter counts must be positive")
-        if self.dense_width < 1:
-            raise ConfigError(f"dense_width must be positive, got {self.dense_width}")
-        if self.sortpool_k is not None and self.sortpool_k < 1:
-            raise ConfigError(f"sortpool_k must be positive, got {self.sortpool_k}")
+        for name, low in (("r", 0), ("epochs", 0), ("conv_layers", 1), ("channels", 1),
+                          ("conv1_filters", 1), ("conv2_filters", 1), ("dense_width", 1),
+                          ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.sortpool_k is not None and self.sortpool_k < 2 * CONV2_WIDTH:
+            raise ConfigError(
+                f"sortpool_k={self.sortpool_k} leaves a read-out signal shorter than "
+                f"the second convolution kernel (width {CONV2_WIDTH}); "
+                f"need k >= {2 * CONV2_WIDTH}"
+            )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch size >= 1")
+        if not self.learning_rate > 0:  # NaN too
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 def distance_cutoff(config: ModelConfig) -> int:
@@ -114,7 +125,7 @@ def resolve_sortpool_k(config: ModelConfig, node_counts: list[int]) -> int:
         raise ConfigError("cannot derive sortpool_k from an empty training set")
     counts = sorted(node_counts, reverse=True)
     k = counts[math.ceil(0.6 * len(counts)) - 1]
-    return max(k, 2 * CONV2_WIDTH)
+    return max(int(k), 2 * CONV2_WIDTH)
 
 
 class Model:
@@ -125,13 +136,12 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, feature_dim: int, num_classes: int):
-        config.validate()
         if config.sortpool_k is None:
             raise ConfigError("sortpool_k must be resolved before building a model")
-        if feature_dim < 1:
-            raise ConfigError(f"feature_dim must be positive, got {feature_dim}")
-        if num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {num_classes}")
+        if type(feature_dim) is not int or feature_dim < 1:
+            raise ConfigError(f"feature_dim must be a positive int, got {feature_dim!r}")
+        if type(num_classes) is not int or num_classes < 2:
+            raise ConfigError(f"num_classes must be an int >= 2, got {num_classes!r}")
         self.config = config
         self.feature_dim = feature_dim
         self.num_classes = num_classes
@@ -152,12 +162,6 @@ class Model:
 
         k = config.sortpool_k
         self.sortpool = SortPool(k)
-        if k // 2 < CONV2_WIDTH:
-            raise ConfigError(
-                f"sortpool_k={k} leaves a read-out signal shorter than the "
-                f"second convolution kernel (width {CONV2_WIDTH}); "
-                f"need k >= {2 * CONV2_WIDTH}"
-            )
         self.conv1 = Conv1D(self.concat_width, config.conv1_filters, width=1, rng=rng)
         self.pool = MaxPool1D()
         self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters,
@@ -301,20 +305,6 @@ def save_checkpoint(model: Model, path) -> None:
     np.savez(path, __meta__=np.array(meta), **arrays)
 
 
-def _stored_config(stored: dict) -> ModelConfig:
-    """The config of checkpoint metadata, each value's type checked against
-    its field; a float field also takes an int, as JSON may write one."""
-    hints = get_type_hints(ModelConfig)
-    declared = {f.name: f.type for f in fields(ModelConfig)}
-    for key, value in stored.items():
-        allowed = get_args(hints[key]) or (hints[key],)
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"checkpoint config {key}={value!r} is not {declared[key]}")
-    return ModelConfig(**stored)
-
-
 def load_checkpoint(path) -> Model:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value."""
     with np.load(path, allow_pickle=False) as data:
@@ -322,7 +312,7 @@ def load_checkpoint(path) -> Model:
             raise ConfigError("checkpoint lacks its __meta__ entry")
         try:
             meta = json.loads(str(data["__meta__"]))
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an object array
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError("checkpoint __meta__ entry is not a JSON object")
@@ -339,15 +329,14 @@ def load_checkpoint(path) -> Model:
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
-        config = _stored_config(meta["config"])
-        for key in ("feature_dim", "num_classes"):
-            if type(meta[key]) is not int:
-                raise ConfigError(f"checkpoint {key} {meta[key]!r} is not an int")
-        model = Model(config, meta["feature_dim"], meta["num_classes"])
+        model = Model(ModelConfig(**meta["config"]), meta["feature_dim"], meta["num_classes"])
         for name, p in model.parameters():
             if name not in data:
                 raise ConfigError(f"checkpoint lacks parameter {name}")
-            stored = data[name]
+            try:
+                stored = data[name]
+            except ValueError as exc:  # an object array, which needs pickle
+                raise ConfigError(f"checkpoint parameter {name} is unreadable: {exc}") from None
             if stored.shape != p.shape:
                 raise ConfigError(f"checkpoint shape mismatch for {name}: "
                                   f"{stored.shape}, model has {p.shape}")
@@ -357,7 +346,3 @@ def load_checkpoint(path) -> Model:
             np.copyto(p, stored)
     return model
 
-
-def with_resolved_k(config: ModelConfig, node_counts: list[int]) -> ModelConfig:
-    """Copy of ``config`` with ``sortpool_k`` made concrete."""
-    return replace(config, sortpool_k=resolve_sortpool_k(config, node_counts))

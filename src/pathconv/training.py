@@ -29,7 +29,7 @@ import numpy as np
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError
 from .layers import softmax_cross_entropy
-from .model import Model, ModelConfig, distance_cutoff, with_resolved_k
+from .model import Model, ModelConfig, distance_cutoff, resolve_sortpool_k
 from .shortest_paths import SPTensor, batch_sp_tensors, sp_tensors
 from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py wraps it by name
 
@@ -210,7 +210,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
         raise ConfigError(f"{len(sps)} shortest-path tensors do not fit the {n} graphs' sizes")
     elif min(sp.r for sp in sps) < cutoff:
         raise ConfigError(f"shortest-path tensors stop short of distance {cutoff}")
-    config = with_resolved_k(config, [dataset.graphs[i].node_count for i in train_idx])
+    config = replace(config, sortpool_k=resolve_sortpool_k(
+        config, [dataset.graphs[i].node_count for i in train_idx]))
 
     model = Model(config, dataset.feature_dim, dataset.num_classes)
     optimizer = model.make_optimizer()
@@ -310,11 +311,10 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
     A fold that fails numerically is recorded with its error and the
     experiment continues; aggregates cover the completed folds.
     """
-    config.validate()
-    if repeats < 1:
-        raise ConfigError(f"need at least 1 repeat, got {repeats}")
-    if jobs < 1:
-        raise ConfigError(f"need at least 1 job, got {jobs}")
+    if type(repeats) is not int or repeats < 1:
+        raise ConfigError(f"need at least 1 repeat, got repeats={repeats!r}")
+    if type(jobs) is not int or jobs < 1:
+        raise ConfigError(f"need at least 1 job, got jobs={jobs!r}")
     tasks = []
     for repeat in range(repeats):
         repeat_config = replace(config, seed=config.seed + repeat)

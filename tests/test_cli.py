@@ -106,6 +106,19 @@ class TestTrain:
                      "--epochs", "1", "--k", "10", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_usage_error_exits_1(self, toy_tu_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                  "--r", "abc", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert "--r" in capsys.readouterr().err
+
+    def test_bad_config_exits_1_before_reading_data(self, tmp_path, capsys):
+        code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),
+                     "--r", "-1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error: r must be >= 0" in capsys.readouterr().err
+
     def test_missing_data_exits_2(self, tmp_path):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),
                      "--folds", "3", "--repeats", "1", "--epochs", "1",

@@ -39,6 +39,17 @@ class TestGraphInvariants:
         with pytest.raises(DatasetError):
             Graph(0, frozenset(), np.zeros((0, 1)), 0)
 
+    @pytest.mark.parametrize("node_count", [3.0, True, "3"])
+    def test_rejects_node_count_not_int(self, node_count):
+        with pytest.raises(DatasetError, match="node_count"):
+            Graph(node_count, [(0, 1), (1, 2)], np.ones((3, 1)), 0)
+
+    def test_numpy_node_count_stored_as_int(self):
+        """A numpy integer count becomes a Python int, so a k resolved from
+        it, and a checkpoint's config, stay JSON-serialisable."""
+        g = Graph(np.int64(12), [(0, 1)], np.ones((12, 1)), 0)
+        assert type(g.node_count) is int and g.node_count == 12
+
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
     def test_edges_normalized_or_rejected(self, data):

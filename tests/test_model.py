@@ -1,5 +1,6 @@
 """Whole-network behavior: shapes, invariances, determinism, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -366,6 +367,13 @@ class TestCheckpoint:
                                                                  sortpool_k=10))
         assert load_checkpoint(path).config.dropout_rate == 0
 
+    def test_object_array_parameter_is_config_error(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.update(
+            {"dense2.bias": np.array([1.0, None], dtype=object)}))
+        with pytest.raises(ConfigError, match="dense2.bias"):
+            load_checkpoint(path)
+
     def test_unversioned_old_layout_is_format_error(self, tmp_path):
         """A checkpoint from before the format field, whose conv1 kernel
         has the old (filters, concat_width, 1) shape, is refused for its
@@ -404,6 +412,22 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestConfigValidByConstruction:
+    @pytest.mark.parametrize("key, value", [
+        ("r", 2.5), ("epochs", 2.0), ("batch_size", 16.0), ("channels", 3.0),
+        ("conv_layers", True), ("sortpool_k", 10.0), ("sortpool_k", 8),
+        ("dropout_rate", "0.5"), ("learning_rate", "1e-3"), ("seed", 1.5),
+        pytest.param("r", np.int64(2), id="r-np.int64"),
+    ])
+    def test_wrong_type_or_range_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value})
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            dataclasses.replace(ModelConfig(), epochs=-1.0)
+
+
 class TestBuildErrors:
     def test_sortpool_k_too_small_for_readout(self):
         with pytest.raises(ConfigError, match="shorter than"):
@@ -431,6 +455,13 @@ class TestBuildErrors:
         with pytest.raises(ConfigError, match="feature_dim"):
             build(feature_dim=feature_dim)
 
+    @pytest.mark.parametrize("key, value", [("feature_dim", 3.0), ("feature_dim", "3"),
+                                            ("num_classes", True),
+                                            ("num_classes", np.int64(2))])
+    def test_dimension_not_int_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build(**{key: value})
+
     @pytest.mark.parametrize("rate", [-0.1, 1.0])
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ConfigError, match="dropout rate"):
@@ -447,6 +478,10 @@ class TestResolveSortpoolK:
     def test_clamped_to_readout_minimum(self):
         config = ModelConfig(sortpool_k=None)
         assert resolve_sortpool_k(config, [3, 4, 5]) == 10
+
+    def test_numpy_counts_give_int(self):
+        k = resolve_sortpool_k(ModelConfig(), [np.int64(12)] * 3)
+        assert type(k) is int and k == 12
 
     def test_explicit_k_wins(self):
         config = ModelConfig(sortpool_k=31)

@@ -2,8 +2,11 @@
 
 import csv
 import dataclasses
+import functools
 import math
+import multiprocessing
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ import pathconv.training as training
 
 from conftest import build_toy_dataset
 from oracles import path_graph
+from synthetic import distance_task
 
 TOY_CONFIG = ModelConfig(r=2, sortpool_k=10, epochs=50, batch_size=16,
                          learning_rate=1e-3, seed=3)
@@ -249,6 +253,27 @@ class TestRunExperiment:
         monkeypatch.setattr(training, "precompute_sp_tensors", unreachable)
         with pytest.raises(ConfigError, match="job"):
             run_experiment(toy_dataset, TOY_CONFIG, folds=2, repeats=1, jobs=0)
+
+    @pytest.mark.parametrize("key, value", [("folds", 3.0), ("repeats", 1.0),
+                                            ("jobs", 2.0), ("jobs", True)])
+    def test_count_not_int_rejected(self, toy_dataset, key, value):
+        counts = {"folds": 3, "repeats": 1, "jobs": 1, key: value}
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(toy_dataset, TOY_CONFIG, **counts)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_parallel_matches_sequential_under_start_method(self, method, monkeypatch):
+        """Workers that import the package afresh (spawn, and forkserver,
+        the Linux default from Python 3.14) give the sequential reports."""
+        dataset = distance_task(0, n_graphs=60)
+        config = ModelConfig(r=2, epochs=2, batch_size=16, learning_rate=1e-3)
+        seq = run_experiment(dataset, config, folds=3, repeats=1, jobs=1)
+        monkeypatch.setattr(training, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        par = run_experiment(dataset, config, folds=3, repeats=1, jobs=2)
+        for a, b in zip(seq.fold_reports, par.fold_reports, strict=True):
+            assert (a.train_losses, a.val_losses, a.best_epoch, a.test_accuracy) == \
+                   (b.train_losses, b.val_losses, b.best_epoch, b.test_accuracy)
 
     def test_parallel_matches_sequential(self, toy_dataset):
         config = dataclasses.replace(TOY_CONFIG, epochs=2)
