@@ -19,7 +19,7 @@ from .data import dataset_summary, encode_degree_features, load_tu_dataset
 from .errors import ConfigError, DatasetError, NumericalError
 from .gradcheck import main_report
 from .model import MODES, ModelConfig
-from .training import emit_report, format_summary, run_experiment
+from .training import check_counts, emit_report, format_summary, run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +48,7 @@ def cmd_train(args) -> int:
         k = None
     config = ModelConfig(r=args.r, mode=args.mode, sortpool_k=k, epochs=args.epochs,
                          seed=args.seed)
+    check_counts(args.folds, args.repeats, args.jobs)
     dataset = _load(args)
     report = run_experiment(dataset, config, folds=args.folds,
                             repeats=args.repeats, jobs=args.jobs)

@@ -6,19 +6,21 @@ each undirected edge in both directions), ``<name>_graph_indicator.txt``
 (graph id per node line), ``<name>_graph_labels.txt`` (class label per
 graph line) and optionally ``<name>_node_labels.txt`` (integer label per
 node line).  Everything is converted to 0-based indices at this boundary.
+Each file is parsed into one array as it is read; file line numbers are
+counted again only for an error that names one.
 """
 
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_count
 
 log = logging.getLogger(__name__)
 
@@ -31,10 +33,10 @@ class Graph:
     as a row (i, j) with i < j, rows ascending.  The constructor takes any
     iterable of integer pairs and raises DatasetError for a self-loop, a
     reversed, out-of-range or duplicate pair, or input that is not (m, 2)
-    integers.  ``node_count`` is stored as a Python int; a bool, float or
-    str raises DatasetError.  ``features`` is an (n, d) matrix whose rows
-    are one-hot after encoding.  Instances are immutable and safe to share
-    across workers; they compare by identity.
+    integers.  ``node_count`` and ``target`` are stored as Python ints; a
+    bool, float or str raises DatasetError.  ``features`` is an (n, d)
+    matrix whose rows are one-hot after encoding.  Instances are immutable
+    and safe to share across workers; they compare by identity.
     """
 
     node_count: int
@@ -43,9 +45,11 @@ class Graph:
     target: int
 
     def __post_init__(self):
-        if isinstance(self.node_count, bool) or not isinstance(self.node_count, (int, np.integer)):
-            raise DatasetError(f"node_count must be an int, got {self.node_count!r}")
-        object.__setattr__(self, "node_count", int(self.node_count))
+        for name in ("node_count", "target"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DatasetError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.node_count < 1:
             raise DatasetError("graph must have at least one node")
         try:
@@ -115,44 +119,50 @@ class Dataset:
         return np.array([g.target for g in self.graphs], dtype=np.int64)
 
 
-@contextmanager
-def _open_utf8(path: Path):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises
-    DatasetError naming the file."""
+def _numbered_rows(path: Path):
+    """``(file line, line)`` for each non-blank line of ``path``, numbered
+    from 1; a byte that is not UTF-8 raises DatasetError naming the file."""
     try:
         with path.open(encoding="utf-8") as fh:
-            yield fh
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    yield lineno, line
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_rows(path: Path, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _line_error(path: Path, row: int, message: str) -> DatasetError:
+    """DatasetError ``file:line: message`` for row ``row`` (0-based) of
+    :func:`_read_rows`, its file line found by reading the file again."""
+    lineno, _ = next(islice(_numbered_rows(path), row, None))
+    return DatasetError(f"{path.name}:{lineno}: {message}")
+
+
+def _read_rows(path: Path, width: int) -> np.ndarray:
     """The non-blank lines of ``path``, each ``width`` comma-separated
-    integers: their 1-based line numbers in the file, and the values as
-    an int64 ``(lines, width)`` array.  A malformed line, or an integer
-    outside int64, raises DatasetError naming the file and the line."""
-    with _open_utf8(path) as fh:
-        lines = fh.read().split("\n")
-    filled = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
-    linenos = np.flatnonzero(filled) + 1
-    rows = list(compress(lines, filled))
-    if not rows:
-        return linenos, np.empty((0, width), dtype=np.int64)
+    integers, as an int64 ``(lines, width)`` array, parsed as the file is
+    read.  A malformed line, or an integer outside int64, raises
+    DatasetError naming the file and the line."""
     try:
-        values = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        with path.open(encoding="utf-8") as fh:
+            rows = filter(str.strip, fh)
+            first = next(rows, None)  # peek: loadtxt warns on a file with no data
+            if first is None:
+                return np.empty((0, width), dtype=np.int64)
+            values = np.loadtxt(chain([first], rows), dtype=np.int64, delimiter=",",
+                                comments=None, ndmin=2)
         if values.shape[1] == width:
-            return linenos, values
-    except ValueError:
+            return values
+    except ValueError:  # UnicodeDecodeError included: the scan names the byte
         pass
-    # The bulk parse names no file line: find the first line that breaks the format.
+    # The bulk parse names no file line: find the first line that breaks the
+    # format.  A field is what that parse reads, once stripped: an optional
+    # sign and ASCII digits (``int()`` also takes ``1_0`` and other digits).
     expected = f"expected {width} comma-separated 64-bit integer(s)"
-    for lineno, line in zip(linenos.tolist(), rows):
-        fields = line.split(",")
-        try:
-            fits = len(fields) == width and all(-2**63 <= int(f) < 2**63 for f in fields)
-        except ValueError:
-            fits = False
-        if not fits:
+    for lineno, line in _numbered_rows(path):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width or not all(
+                re.fullmatch(r"[+-]?[0-9]+", f) and -2**63 <= int(f) < 2**63 for f in fields):
             raise DatasetError(f"{path.name}:{lineno}: {expected}, got {line.strip()!r}")
     raise DatasetError(f"{path.name}: {expected} per line")
 
@@ -188,8 +198,8 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
         if not fpath(suffix).exists():
             raise DatasetError(f"missing dataset file: {fpath(suffix)}")
 
-    indicator_lines, indicator = _read_rows(fpath("graph_indicator"), 1)
-    _, raw_graph_labels = _read_rows(fpath("graph_labels"), 1)
+    indicator = _read_rows(fpath("graph_indicator"), 1)
+    raw_graph_labels = _read_rows(fpath("graph_labels"), 1)
     total_nodes = indicator.shape[0]
     num_graphs = raw_graph_labels.shape[0]
     if total_nodes == 0:
@@ -199,10 +209,8 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     graph_of = indicator[:, 0] - 1
     bad = np.flatnonzero((graph_of < 0) | (graph_of >= num_graphs))
     if bad.size:
-        raise DatasetError(
-            f"{fpath('graph_indicator').name}:{indicator_lines[bad[0]]}: "
-            f"graph id {indicator[bad[0], 0]} outside 1..{num_graphs}"
-        )
+        raise _line_error(fpath("graph_indicator"), bad[0],
+                          f"graph id {indicator[bad[0], 0]} outside 1..{num_graphs}")
     sizes = np.bincount(graph_of, minlength=num_graphs)
     if not sizes.all():
         raise DatasetError(f"graph {np.argmin(sizes) + 1} has zero nodes")
@@ -213,18 +221,14 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     position[order] = np.arange(total_nodes)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
 
-    edge_lines, uv = _read_rows(fpath("A"), 2)
+    uv = _read_rows(fpath("A"), 2)
     uv -= 1
     bad = np.flatnonzero(((uv < 0) | (uv >= total_nodes)).any(axis=1))
     if bad.size:
-        raise DatasetError(
-            f"{fpath('A').name}:{edge_lines[bad[0]]}: node index out of range 1..{total_nodes}"
-        )
+        raise _line_error(fpath("A"), bad[0], f"node index out of range 1..{total_nodes}")
     bad = np.flatnonzero(graph_of[uv[:, 0]] != graph_of[uv[:, 1]])
     if bad.size:
-        raise DatasetError(
-            f"{fpath('A').name}:{edge_lines[bad[0]]}: edge joins nodes of different graphs"
-        )
+        raise _line_error(fpath("A"), bad[0], "edge joins nodes of different graphs")
     directed = _distinct(uv[:, 0] * total_nodes + uv[:, 1])
     u, v = np.divmod(directed, total_nodes)
     self_loop = u == v
@@ -250,7 +254,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     # single constant column when the dataset carries no node labels.
     node_labels_path = fpath("node_labels")
     if node_labels_path.exists():
-        _, node_labels = _read_rows(node_labels_path, 1)
+        node_labels = _read_rows(node_labels_path, 1)
         if node_labels.shape[0] != total_nodes:
             raise DatasetError(
                 f"{node_labels_path.name}: {node_labels.shape[0]} labels for {total_nodes} nodes"
@@ -334,8 +338,7 @@ def stratified_folds(
     block is never empty.  The same (dataset, folds, seed) always yields
     identical partitions.
     """
-    if type(folds) is not int or folds < 2:
-        raise ConfigError(f"need at least 2 folds, got folds={folds!r}")
+    check_count("folds", folds, 2)
     targets = dataset.targets()
     rng = np.random.default_rng(seed)
     fold_of = np.empty(targets.size, dtype=np.int64)
@@ -359,16 +362,12 @@ def stratified_folds(
         if folds == 2:
             pool = fold_arrays[1 - f]
             sub_rng = np.random.default_rng([seed, f])
-            val_parts = []
-            train_parts = []
+            halves = []
             for cls in range(dataset.num_classes):
                 members = pool[targets[pool] == cls]
                 sub_rng.shuffle(members)
-                half = members.size // 2
-                val_parts.append(members[:half])
-                train_parts.append(members[half:])
-            val = np.sort(np.concatenate(val_parts))
-            train = np.sort(np.concatenate(train_parts))
+                halves.append(np.split(members, [members.size // 2]))
+            val, train = (np.sort(np.concatenate(parts)) for parts in zip(*halves))
         else:
             val = fold_arrays[(f + 1) % folds]
             train = np.flatnonzero((fold_of != f) & (fold_of != (f + 1) % folds))

@@ -15,3 +15,10 @@ class DatasetError(Exception):
 
 class NumericalError(ArithmeticError):
     """Non-finite values encountered during training or optimization."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ConfigError naming ``name`` unless ``value`` is an int (not a bool)
+    of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"need {name} >= {least}, got {name}={value!r}")

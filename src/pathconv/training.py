@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, stratified_folds
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_count
 from .layers import softmax_cross_entropy
 from .model import Model, ModelConfig, distance_cutoff, resolve_sortpool_k
 from .shortest_paths import SPTensor, batch_sp_tensors, sp_tensors
@@ -303,6 +303,14 @@ def aggregate_accuracy(fold_reports: list[FoldReport]) -> tuple[float, float]:
     return float(acc.mean()), float(acc.std())
 
 
+def check_counts(folds: int, repeats: int, jobs: int) -> None:
+    """ConfigError naming the first count :func:`run_experiment` cannot
+    take: ``folds`` must be an int >= 2, ``repeats`` and ``jobs`` >= 1."""
+    check_count("folds", folds, 2)
+    check_count("repeats", repeats, 1)
+    check_count("jobs", jobs, 1)
+
+
 def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
                    repeats: int = 10, jobs: int = 1) -> ExperimentReport:
     """Nested cross-validation: ``folds`` x ``repeats`` independent trainings.
@@ -311,10 +319,7 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
     A fold that fails numerically is recorded with its error and the
     experiment continues; aggregates cover the completed folds.
     """
-    if type(repeats) is not int or repeats < 1:
-        raise ConfigError(f"need at least 1 repeat, got repeats={repeats!r}")
-    if type(jobs) is not int or jobs < 1:
-        raise ConfigError(f"need at least 1 job, got jobs={jobs!r}")
+    check_counts(folds, repeats, jobs)
     tasks = []
     for repeat in range(repeats):
         repeat_config = replace(config, seed=config.seed + repeat)

@@ -119,6 +119,15 @@ class TestTrain:
         assert code == 1
         assert "configuration error: r must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--folds", "1"), ("--repeats", "0"), ("--jobs", "0"),
+    ])
+    def test_bad_count_exits_1_before_reading_data(self, tmp_path, capsys, option, value):
+        code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path / "missing"),
+                     option, value, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"configuration error: need {option[2:]} >= " in capsys.readouterr().err
+
     def test_missing_data_exits_2(self, tmp_path):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),
                      "--folds", "3", "--repeats", "1", "--epochs", "1",

@@ -50,6 +50,17 @@ class TestGraphInvariants:
         g = Graph(np.int64(12), [(0, 1)], np.ones((12, 1)), 0)
         assert type(g.node_count) is int and g.node_count == 12
 
+    @pytest.mark.parametrize("target", [1.0, True, "1"])
+    def test_rejects_target_not_int(self, target):
+        """A float target would pass the dataset's class-range check and
+        then fail in the loss as a raw IndexError."""
+        with pytest.raises(DatasetError, match="target"):
+            Graph(3, [(0, 1), (1, 2)], np.ones((3, 1)), target)
+
+    def test_numpy_target_stored_as_int(self):
+        g = Graph(3, [(0, 1)], np.ones((3, 1)), np.int64(1))
+        assert type(g.target) is int and g.target == 1
+
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
     def test_edges_normalized_or_rejected(self, data):
@@ -171,6 +182,16 @@ class TestLoadTuDataset:
         with pytest.raises(DatasetError, match="OOR_A.txt:2"):
             load_tu_dataset(tmp_path, "OOR")
 
+    @pytest.mark.parametrize("line, message", [
+        ("2, 7", "node index out of range 1..3"),
+        ("2, 3", "edge joins nodes of different graphs"),
+    ])
+    def test_edge_error_after_blank_lines_names_file_line(self, tmp_path, line, message):
+        write_tu_files(tmp_path, "GAP", edges_1based=[], indicator=[1, 1, 2], graph_labels=[0, 1])
+        (tmp_path / "GAP_A.txt").write_text(f"1, 2\n\n  \n2, 1\n\t\n{line}\n1, 2\n")
+        with pytest.raises(DatasetError, match=f"GAP_A.txt:6: {message}"):
+            load_tu_dataset(tmp_path, "GAP")
+
     def test_bad_graph_id_reports_file_line(self, tmp_path):
         write_tu_files(tmp_path, "GID", edges_1based=[(1, 2), (2, 1)],
                        indicator=[1, 1], graph_labels=[0])
@@ -191,6 +212,20 @@ class TestLoadTuDataset:
         with pytest.raises(DatasetError, match=f"TINY_{suffix}.txt:{count}: expected .*64-bit"):
             load_tu_dataset(tiny_tu_dir, "TINY")
 
+    @pytest.mark.parametrize("suffix, line", [
+        ("A", "2, 1_0"),
+        ("graph_labels", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        ("node_labels", "\uff11"),  # FULLWIDTH DIGIT ONE
+    ])
+    def test_non_decimal_integer_names_file_line(self, tiny_tu_dir, suffix, line):
+        """Python's int() takes these, the bulk parse does not: the scan
+        must reject them too, so the error names the line."""
+        path = tiny_tu_dir / f"TINY_{suffix}.txt"
+        path.write_text(path.read_text() + f"\n{line}\n", encoding="utf-8")
+        count = len(path.read_text(encoding="utf-8").splitlines())
+        with pytest.raises(DatasetError, match=f"TINY_{suffix}.txt:{count}: expected .*64-bit"):
+            load_tu_dataset(tiny_tu_dir, "TINY")
+
     def test_int64_extremes_load_as_labels(self, tmp_path):
         write_tu_files(tmp_path, "EXT", edges_1based=[],
                        indicator=[1, 2], graph_labels=[2 ** 63 - 1, -2 ** 63],
@@ -204,6 +239,38 @@ class TestLoadTuDataset:
             fh.write(b"\xff\xfe\n")
         with pytest.raises(DatasetError, match="TINY_graph_labels.txt: not UTF-8"):
             load_tu_dataset(tiny_tu_dir, "TINY")
+
+    @pytest.mark.parametrize("lines_between, message", [
+        (0, r"(:2: expected .*|: not UTF-8.*)"),
+        (6000, ":2: expected .*"),
+    ])
+    def test_malformed_line_then_non_utf8_byte(self, tiny_tu_dir, lines_between, message):
+        """Whichever the reader meets first is reported: a byte decoded in
+        the same chunk as the malformed line comes first, one decoded later
+        lets the scan name the line."""
+        path = tiny_tu_dir / "TINY_A.txt"
+        path.write_bytes(b"1, 2\n2, x\n" + b"2, 1\n" * lines_between + b"\xff\n")
+        with pytest.raises(DatasetError, match=f"TINY_A.txt{message}"):
+            load_tu_dataset(tiny_tu_dir, "TINY")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_endings_load_as_newline(self, tiny_tu_dir, newline):
+        expected = load_tu_dataset(tiny_tu_dir, "TINY")
+        for path in tiny_tu_dir.glob("TINY_*.txt"):
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        ds = load_tu_dataset(tiny_tu_dir, "TINY")
+        assert ds.num_classes == expected.num_classes
+        for a, b in zip(expected.graphs, ds.graphs, strict=True):
+            assert a.node_count == b.node_count and a.target == b.target
+            assert np.array_equal(a.edges, b.edges)
+            assert np.array_equal(a.features, b.features)
+
+    def test_whitespace_only_edge_file_loads_edgeless(self, tmp_path):
+        write_tu_files(tmp_path, "BARE", edges_1based=[], indicator=[1, 1, 2],
+                       graph_labels=[0, 1])
+        (tmp_path / "BARE_A.txt").write_text(" \n\t\n\n  \t \n")
+        ds = load_tu_dataset(tmp_path, "BARE")
+        assert [g.edges.shape for g in ds.graphs] == [(0, 2), (0, 2)]
 
     def test_zero_node_graph_rejected(self, tmp_path):
         # Two labels but only graph 2 has nodes.
