@@ -34,9 +34,10 @@ class Graph:
     iterable of integer pairs and raises DatasetError for a self-loop, a
     reversed, out-of-range or duplicate pair, or input that is not (m, 2)
     integers.  ``node_count`` and ``target`` are stored as Python ints; a
-    bool, float or str raises DatasetError.  ``features`` is an (n, d)
-    matrix whose rows are one-hot after encoding.  Instances are immutable
-    and safe to share across workers; they compare by identity.
+    bool, float or str raises DatasetError.  ``features`` is stored as a
+    read-only (n, d) bool, int or float array, anything else raises
+    DatasetError; its rows are one-hot after encoding.  Instances are
+    immutable and safe to share across workers; they compare by identity.
     """
 
     node_count: int
@@ -75,11 +76,16 @@ class Graph:
                 raise DatasetError(f"edge {tuple(edges[dup[0]].tolist())} listed twice")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        if self.features.ndim != 2 or self.features.shape[0] != self.node_count:
-            raise DatasetError(
-                f"feature matrix shape {self.features.shape} does not match n={self.node_count}"
-            )
-        self.features.flags.writeable = False
+        try:
+            features = np.asarray(self.features)
+        except ValueError as exc:  # ragged rows
+            raise DatasetError(f"features must be an (n, d) matrix: {exc}") from None
+        if (features.ndim != 2 or features.shape[0] != self.node_count
+                or features.dtype.kind not in "biuf"):
+            raise DatasetError(f"features must be an (n, d) bool, int or float matrix with "
+                               f"n={self.node_count}, got {features.dtype} {features.shape}")
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
 
     @property
     def feature_dim(self) -> int:
@@ -167,15 +173,6 @@ def _read_rows(path: Path, width: int) -> np.ndarray:
     raise DatasetError(f"{path.name}: {expected} per line")
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """``keys`` sorted, each value once.  ``np.unique`` does the same
-    through a hash table, many times slower on millions of int64 keys."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     """Load a benchmark dataset from its standard text files.
 
@@ -229,11 +226,18 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     bad = np.flatnonzero(graph_of[uv[:, 0]] != graph_of[uv[:, 1]])
     if bad.size:
         raise _line_error(fpath("A"), bad[0], "edge joins nodes of different graphs")
-    directed = _distinct(uv[:, 0] * total_nodes + uv[:, 1])
-    u, v = np.divmod(directed, total_nodes)
-    self_loop = u == v
-    dropped_self_loops = np.count_nonzero(self_loop)
-    dropped_duplicates = uv.shape[0] - directed.size
+    # Per line the key 2 * (lo * total_nodes + hi) + (1 if listed high to
+    # low) over grouped positions, sorted once (np.unique would hash): each
+    # run's first key is a distinct line; key >> 1 pairs an edge's directions.
+    uv = position[uv].T  # rows u and v
+    keys = np.sort(2 * (np.minimum(*uv) * total_nodes + np.maximum(*uv)) + np.greater(*uv))
+    del uv  # frees 16 bytes per edge line: edge-length arrays set the peak
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    dropped_duplicates = keys.size - np.count_nonzero(first)
+    keys = keys[first] >> 1
+    lo, hi = np.divmod(keys, total_nodes)
+    dropped_self_loops = np.count_nonzero(lo == hi)
     if dropped_self_loops or dropped_duplicates:
         log.info(
             "%s: dropped %d self-loops and %d duplicate edge lines",
@@ -242,8 +246,9 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     # Each undirected edge once as sorted (lo, hi) positions, so the edges
     # of graph g form the run edge_offsets[g]:edge_offsets[g + 1]; shifted
     # to the graph's own node ids, that run is its sorted edge array.
-    a, b = position[u[~self_loop]], position[v[~self_loop]]
-    lo, hi = np.divmod(_distinct(np.minimum(a, b) * total_nodes + np.maximum(a, b)), total_nodes)
+    keep = lo != hi
+    keep[1:] &= keys[1:] != keys[:-1]
+    lo, hi = lo[keep], hi[keep]
     edge_offsets = np.searchsorted(lo, offsets)
     edges = np.stack((lo, hi), 1) - np.repeat(offsets[:-1], np.diff(edge_offsets))[:, None]
 

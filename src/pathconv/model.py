@@ -91,7 +91,7 @@ class ModelConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, low in (("r", 0), ("epochs", 0), ("conv_layers", 1), ("channels", 1),
                           ("conv1_filters", 1), ("conv2_filters", 1), ("dense_width", 1),
-                          ("batch_size", 1)):
+                          ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.sortpool_k is not None and self.sortpool_k < 2 * CONV2_WIDTH:

@@ -175,10 +175,14 @@ def single_blas_thread():
 
 def check_split(dataset: Dataset, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (train, validation, test) index triple as int64 arrays, or
-    ConfigError unless together they are a permutation of 0..n-1, the
-    validation and test blocks are non-empty and training holds every
-    class."""
-    train_idx, val_idx, test_idx = (np.asarray(s, dtype=np.int64) for s in split)
+    ConfigError unless each non-empty block holds integers, together they
+    are a permutation of 0..n-1, the validation and test blocks are
+    non-empty and training holds every class."""
+    blocks = [np.asarray(s) for s in split]
+    for block in blocks:
+        if block.size and block.dtype.kind not in "iu":  # a cast would pick other graphs
+            raise ConfigError(f"split indices must be integers, got {block.dtype}")
+    train_idx, val_idx, test_idx = (block.astype(np.int64) for block in blocks)
     n = len(dataset.graphs)
     if not np.array_equal(np.sort(np.concatenate([train_idx, val_idx, test_idx])), np.arange(n)):
         raise ConfigError("split is not a disjoint cover of the dataset")

@@ -1,0 +1,61 @@
+"""Time ``load_tu_dataset`` on a COLLAB-shaped set and report its peak memory.
+
+Writes ``synthetic.collab_like(0, graphs)`` to a temporary directory
+without a node-label file, as COLLAB ships, then loads it in ``--loads``
+fresh processes, each printing its load seconds and its peak resident
+set size (``ru_maxrss``).  At the default 5000 graphs the edge file has
+about 25.4M lines (366 MB), and writing it takes about 40 s and 1.6 GB.
+The directory is deleted on exit; ``--keep DIR`` keeps the set in DIR
+instead, and reuses a set already there.  Run from the repository root:
+
+    PYTHONPATH=src python tests/collab_load.py [--graphs 5000] [--loads 3]
+
+The loading processes import ``pathconv`` through ``PYTHONPATH``, so
+pointing it at another checkout's ``src`` measures that version on the
+same files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from synthetic import collab_like  # noqa: E402
+
+from pathconv import save_tu_dataset  # noqa: E402
+
+LOAD = """\
+import resource, sys, time
+from pathconv import load_tu_dataset
+start = time.perf_counter()
+dataset = load_tu_dataset(sys.argv[1], "COLLAB")
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs")
+"""
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--graphs", type=int, default=5000)
+    parser.add_argument("--loads", type=int, default=3)
+    parser.add_argument("--keep", type=Path, help="keep the set in this directory, or reuse one there")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = args.keep or Path(tmp)
+        if not (root / "COLLAB_A.txt").exists():
+            save_tu_dataset(collab_like(0, args.graphs), root)
+            (root / "COLLAB_node_labels.txt").unlink()
+        with (root / "COLLAB_A.txt").open() as fh:
+            print(f"{sum(1 for _ in fh)} edge lines in {root}", flush=True)
+        for _ in range(args.loads):
+            subprocess.run([sys.executable, "-c", LOAD, str(root)], check=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,9 @@ carries the one-hot feature (plain, marked).  A tree with no pair at its
 class's distance is redrawn.  The label depends only on that distance,
 so a model that cannot tell distance 3 from 4 stays at chance.
 
+``collab_like`` is a stand-in of another kind: a set of COLLAB's shape
+for loading at the paper's scale, with no task in it.
+
 The module lives beside the tests so the package does not grow.  Tests
 import it as ``synthetic``; a script puts the ``tests`` directory on
 ``sys.path`` first.
@@ -53,3 +56,22 @@ def distance_task(seed: int, n_graphs: int = 300) -> Dataset:
     rng = np.random.default_rng(seed)
     graphs = tuple(_marked_tree(rng, i % 2) for i in range(n_graphs))
     return Dataset(name=f"distance-task-{seed}", graphs=graphs, num_classes=2, feature_dim=2)
+
+
+def _ego_graph(rng: np.random.Generator, n: int, target: int) -> Graph:
+    """Node 0 joined to every other node, the others G(n - 1, 0.667); the
+    features are the one constant column a file without node labels
+    loads to."""
+    i, j = np.triu_indices(n, 1)
+    keep = (i == 0) | (rng.random(i.size) < 0.667)
+    return Graph(n, np.c_[i[keep], j[keep]], np.ones((n, 1)), target)
+
+
+def collab_like(seed: int, graphs: int = 5000) -> Dataset:
+    """COLLAB's shape: ``graphs`` dense ego networks of 32-492 nodes (mean
+    about 74.5, so about 2500 edges per graph) in three classes, drawn
+    deterministically from ``seed``."""
+    rng = np.random.default_rng([seed, 0xC011AB])
+    counts = np.clip(np.rint(32 + rng.exponential(42.5, graphs)).astype(np.int64), 32, 492)
+    gs = tuple(_ego_graph(rng, int(n), i % 3) for i, n in enumerate(counts))
+    return Dataset("COLLAB", gs, num_classes=3, feature_dim=1)

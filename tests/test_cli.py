@@ -119,6 +119,12 @@ class TestTrain:
         assert code == 1
         assert "configuration error: r must be >= 0" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_before_reading_data(self, tmp_path, capsys):
+        code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path / "missing"),
+                     "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option, value", [
         ("--folds", "1"), ("--repeats", "0"), ("--jobs", "0"),
     ])

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from pathconv import (
 
 from conftest import write_tu_files
 from oracles import path_graph, random_graph
+from synthetic import collab_like
 
 
 class TestGraphInvariants:
@@ -111,6 +113,19 @@ class TestGraphInvariants:
         g = path_graph(3, target=0)
         with pytest.raises(ValueError):
             g.features[0, 0] = 2.0
+
+    def test_feature_rows_stored_as_read_only_array(self):
+        g = Graph(3, [(0, 1)], [[1.0]] * 3, 0)
+        assert g.features.dtype == np.float64 and g.features.shape == (3, 1)
+        assert not g.features.flags.writeable
+
+    @pytest.mark.parametrize("features", [
+        np.ones((3, 1), dtype=object), np.array([["a"]] * 3), np.ones(3), np.ones((2, 1)),
+        [[1.0], [1.0, 0.0], [1.0]],
+    ], ids=["object", "str", "1-D", "wrong rows", "ragged"])
+    def test_rejects_malformed_features(self, features):
+        with pytest.raises(DatasetError, match="features must be an"):
+            Graph(3, [(0, 1)], features, 0)
 
 
 class TestLoadTuDataset:
@@ -359,18 +374,24 @@ BLANKS = ["", "  ", "\t"]
 @given(tu_datasets(), st.data())
 def test_dirty_edge_lines_load_clean(caplog, dataset, data):
     """Duplicated, self-loop and blank lines, edges listed in one direction
-    only, and shuffled edge lines load to the graphs of the clean files,
-    and the log counts the dropped lines."""
-    offsets = np.cumsum([1] + [g.node_count for g in dataset.graphs])
+    only, shuffled edge lines and graph ids interleaved in the indicator
+    load to the graphs of the clean files, and the log counts the dropped
+    lines."""
+    sizes = [g.node_count for g in dataset.graphs]
+    graph_ids = data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    # Node k of the clean files moves to line moved_to[k] + 1: the graphs
+    # interleave, each keeping its own nodes in order.
+    moved_to = np.argsort(graph_ids, kind="stable")
+    offsets = np.cumsum([0] + sizes)
     lines = []
     for g, off in zip(dataset.graphs, offsets):
-        for i, j in g.edges.tolist():
+        for i, j in (moved_to[g.edges + off] + 1).tolist():
             direction = data.draw(st.sampled_from(["both", "forward", "backward"]))
             if direction != "backward":
-                lines.append((i + off, j + off))
+                lines.append((i, j))
             if direction != "forward":
-                lines.append((j + off, i + off))
-    loops = data.draw(st.lists(st.integers(1, int(offsets[-1]) - 1), max_size=4))
+                lines.append((j, i))
+    loops = data.draw(st.lists(st.integers(1, int(offsets[-1])), max_size=4))
     lines += [(u, u) for u in loops]
     if lines:
         lines += data.draw(st.lists(st.sampled_from(lines), max_size=6))
@@ -387,7 +408,10 @@ def test_dirty_edge_lines_load_clean(caplog, dataset, data):
         save_tu_dataset(dataset, tmp)
         clean = load_tu_dataset(tmp, dataset.name)
         for path in Path(tmp).iterdir():
-            path.write_text(with_blanks(path.read_text().splitlines()))
+            rows = path.read_text().splitlines()
+            if path.name in ("RAND_graph_indicator.txt", "RAND_node_labels.txt"):
+                rows = [rows[k] for k in np.argsort(moved_to)]
+            path.write_text(with_blanks(rows))
         (Path(tmp) / "RAND_A.txt").write_text(with_blanks([f"{u}, {v}" for u, v in lines]))
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="pathconv.data"):
@@ -403,6 +427,22 @@ def test_dirty_edge_lines_load_clean(caplog, dataset, data):
                            f"{expected_duplicates} duplicate edge lines"]
     else:
         assert dropped == []
+
+
+def test_load_peak_memory_per_edge_line(tmp_path):
+    """On a label-free file of about 130k edge lines, the loader's traced
+    peak stays within 8 int64 words per edge line."""
+    dataset = collab_like(0, graphs=30)
+    save_tu_dataset(dataset, tmp_path)
+    (tmp_path / "COLLAB_node_labels.txt").unlink()
+    lines = 2 * sum(len(g.edges) for g in dataset.graphs)
+    tracemalloc.start()
+    try:
+        load_tu_dataset(tmp_path, "COLLAB")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per edge line"
 
 
 def _saved_files() -> dict[str, bytes]:

@@ -416,7 +416,7 @@ class TestConfigValidByConstruction:
     @pytest.mark.parametrize("key, value", [
         ("r", 2.5), ("epochs", 2.0), ("batch_size", 16.0), ("channels", 3.0),
         ("conv_layers", True), ("sortpool_k", 10.0), ("sortpool_k", 8),
-        ("dropout_rate", "0.5"), ("learning_rate", "1e-3"), ("seed", 1.5),
+        ("dropout_rate", "0.5"), ("learning_rate", "1e-3"), ("seed", 1.5), ("seed", -1),
         pytest.param("r", np.int64(2), id="r-np.int64"),
     ])
     def test_wrong_type_or_range_is_config_error(self, key, value):

@@ -157,6 +157,16 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="disjoint cover"):
             train_one_fold(toy_dataset, (train, val, test), TOY_CONFIG)
 
+    @pytest.mark.parametrize("block", [[0.25, 1.25], [False, True]], ids=["float", "bool"])
+    def test_non_integer_block_rejected(self, toy_dataset, block):
+        """Cast to int64, either block would name graphs 0 and 1 and
+        complete a valid split."""
+        train, val, test = toy_splits(toy_dataset)[0]
+        train = np.setdiff1d(np.concatenate([train, val]), [0, 1])
+        split = (train, np.array(block), np.setdiff1d(test, [0, 1]))
+        with pytest.raises(ConfigError, match="split indices must be integers"):
+            training.check_split(toy_dataset, split)
+
     def test_empty_test_block_rejected(self, toy_dataset):
         train, val, test = toy_splits(toy_dataset)[0]
         split = (np.concatenate([train, test]), val, [])
