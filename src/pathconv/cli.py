@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 from .data import dataset_summary, encode_degree_features, load_tu_dataset
 from .errors import ConfigError, DatasetError, NumericalError
@@ -38,17 +39,16 @@ def _load(args) -> "Dataset":
     return dataset
 
 
+def int_or_auto(text: str) -> int | None:
+    """``--k``: an integer, or ``auto`` (None) to pick k per training set."""
+    return None if text == "auto" else int(text)
+
+
 def cmd_train(args) -> int:
-    if args.k != "auto":
-        try:
-            k = int(args.k)
-        except ValueError:
-            raise ConfigError(f"--k must be an integer or 'auto', got {args.k!r}")
-    else:
-        k = None
-    config = ModelConfig(r=args.r, mode=args.mode, sortpool_k=k, epochs=args.epochs,
+    config = ModelConfig(r=args.r, mode=args.mode, sortpool_k=args.k, epochs=args.epochs,
                          seed=args.seed)
     check_counts(args.folds, args.repeats, args.jobs)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     dataset = _load(args)
     report = run_experiment(dataset, config, folds=args.folds,
                             repeats=args.repeats, jobs=args.jobs)
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--folds", type=int, default=10)
     train.add_argument("--repeats", type=int, default=10)
     train.add_argument("--epochs", type=int, default=ModelConfig.epochs)
-    train.add_argument("--k", default="auto", help="sort-pooling size (int or 'auto')")
+    train.add_argument("--k", type=int_or_auto, default="auto",
+                       help="sort-pooling size (int or 'auto')")
     train.add_argument("--seed", type=int, default=ModelConfig.seed)
     train.add_argument("--out", required=True, help="output directory for reports")
     train.add_argument("--jobs", type=int, default=1, help="parallel fold workers")

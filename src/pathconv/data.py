@@ -220,7 +220,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
 
     uv = _read_rows(fpath("A"), 2)
     uv -= 1
-    bad = np.flatnonzero(((uv < 0) | (uv >= total_nodes)).any(axis=1))
+    bad = np.flatnonzero((uv < 0) | (uv >= total_nodes)) // 2  # flat index to line
     if bad.size:
         raise _line_error(fpath("A"), bad[0], f"node index out of range 1..{total_nodes}")
     bad = np.flatnonzero(graph_of[uv[:, 0]] != graph_of[uv[:, 1]])
@@ -344,6 +344,7 @@ def stratified_folds(
     identical partitions.
     """
     check_count("folds", folds, 2)
+    check_count("seed", seed, 0)
     targets = dataset.targets()
     rng = np.random.default_rng(seed)
     fold_of = np.empty(targets.size, dtype=np.int64)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`check_count`, the
+one rule for every integer argument: a size, count, cutoff, seed or index.
 
 The CLI maps these onto exit codes: configuration errors exit 1, dataset
 errors exit 2, numerical failures exit 3.
@@ -18,7 +19,7 @@ class NumericalError(ArithmeticError):
 
 
 def check_count(name: str, value, least: int) -> None:
-    """ConfigError naming ``name`` unless ``value`` is an int (not a bool)
-    of at least ``least``."""
+    """ConfigError ``need NAME >= LEAST, got NAME=VALUE`` unless ``value``
+    is an int (not a bool, not a numpy integer) of at least ``least``."""
     if type(value) is not int or value < least:
         raise ConfigError(f"need {name} >= {least}, got {name}={value!r}")

@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError, check_count
 from .shortest_paths import SPTensor, propagate, propagate_transpose
 
 
@@ -152,8 +152,7 @@ class SortPool:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ConfigError(f"sort-pooling size must be positive, got {k}")
+        check_count("k", k, 1)
         self.k = k
 
     def forward(self, h: np.ndarray, offsets: np.ndarray):
@@ -213,10 +212,7 @@ class Conv1D:
         self.grad_bias = np.zeros_like(self.bias)
 
     def out_length(self, length: int) -> int:
-        if length < self.width:
-            raise ConfigError(
-                f"signal of length {length} is shorter than kernel width {self.width}"
-            )
+        check_count("signal length", length, self.width)
         return length - self.width + 1
 
     def forward(self, x: np.ndarray):

@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .data import Graph
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .layers import (
     Adam,
     Conv1D,
@@ -89,17 +89,15 @@ class ModelConfig:
                 raise ConfigError(f"{f.name}={value!r} is not {f.type}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # sortpool_k >= 2 * CONV2_WIDTH: the pair pooling halves the k rows,
+        # and the second read-out convolution must fit in what is left.
         for name, low in (("r", 0), ("epochs", 0), ("conv_layers", 1), ("channels", 1),
-                          ("conv1_filters", 1), ("conv2_filters", 1), ("dense_width", 1),
-                          ("batch_size", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.sortpool_k is not None and self.sortpool_k < 2 * CONV2_WIDTH:
-            raise ConfigError(
-                f"sortpool_k={self.sortpool_k} leaves a read-out signal shorter than "
-                f"the second convolution kernel (width {CONV2_WIDTH}); "
-                f"need k >= {2 * CONV2_WIDTH}"
-            )
+                          ("sortpool_k", 2 * CONV2_WIDTH), ("conv1_filters", 1),
+                          ("conv2_filters", 1), ("dense_width", 1), ("batch_size", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None:  # only sortpool_k may be None: resolved later
+                check_count(name, value, low)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         if not self.learning_rate > 0:  # NaN too
@@ -138,10 +136,8 @@ class Model:
     def __init__(self, config: ModelConfig, feature_dim: int, num_classes: int):
         if config.sortpool_k is None:
             raise ConfigError("sortpool_k must be resolved before building a model")
-        if type(feature_dim) is not int or feature_dim < 1:
-            raise ConfigError(f"feature_dim must be a positive int, got {feature_dim!r}")
-        if type(num_classes) is not int or num_classes < 2:
-            raise ConfigError(f"num_classes must be an int >= 2, got {num_classes!r}")
+        check_count("feature_dim", feature_dim, 1)
+        check_count("num_classes", num_classes, 2)
         self.config = config
         self.feature_dim = feature_dim
         self.num_classes = num_classes

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import Graph
+from .errors import check_count
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
     to zero.  Each ring is cut back into per-graph CSR arrays with sorted
     int32 indices.
     """
-    if r < 0:
-        raise ValueError(f"distance cutoff must be non-negative, got {r}")
+    check_count("r", r, 0)
     sizes = [g.node_count for g in graphs]
     offsets = list(accumulate(sizes, initial=0))
     n = offsets[-1]

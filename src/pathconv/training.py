@@ -203,6 +203,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     :func:`check_split` accepts.  Training runs with one BLAS thread
     (:func:`single_blas_thread`).
     """
+    check_count("fold_id", fold_id, 0)
+    check_count("repeat_id", repeat_id, 0)
     train_idx, val_idx, test_idx = check_split(dataset, split)
     n = len(dataset.graphs)
 

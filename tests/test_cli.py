@@ -66,11 +66,12 @@ class TestTrain:
         assert "dgcnn_baseline" in (out_dir / "folds.csv").read_text()
 
     def test_bad_k_exits_1(self, toy_tu_dir, tmp_path, capsys):
-        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
-                     "--folds", "3", "--repeats", "1", "--epochs", "1",
-                     "--k", "many", "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "configuration error" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                  "--folds", "3", "--repeats", "1", "--epochs", "1",
+                  "--k", "many", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 1
+        assert "argument --k: invalid int_or_auto value: 'many'" in capsys.readouterr().err
 
     def test_too_few_folds_exits_1(self, toy_tu_dir, tmp_path):
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
@@ -117,13 +118,14 @@ class TestTrain:
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),
                      "--r", "-1", "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "configuration error: r must be >= 0" in capsys.readouterr().err
+        assert "configuration error: need r >= 0, got r=-1" in capsys.readouterr().err
 
     def test_negative_seed_exits_1_before_reading_data(self, tmp_path, capsys):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path / "missing"),
                      "--seed", "-1", "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert ("configuration error: need seed >= 0, got seed=-1"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("option, value", [
         ("--folds", "1"), ("--repeats", "0"), ("--jobs", "0"),
@@ -133,6 +135,19 @@ class TestTrain:
                      option, value, "--out", str(tmp_path / "x")])
         assert code == 1
         assert f"configuration error: need {option[2:]} >= " in capsys.readouterr().err
+
+    def test_out_below_a_file_exits_2_before_training(self, toy_tu_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained although --out cannot be made")
+
+        monkeypatch.setattr("pathconv.cli.run_experiment", fail)
+        (tmp_path / "file").write_text("")
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                     "--folds", "3", "--repeats", "1", "--epochs", "1",
+                     "--out", str(tmp_path / "file" / "run")])
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),

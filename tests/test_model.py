@@ -430,7 +430,7 @@ class TestConfigValidByConstruction:
 
 class TestBuildErrors:
     def test_sortpool_k_too_small_for_readout(self):
-        with pytest.raises(ConfigError, match="shorter than"):
+        with pytest.raises(ConfigError, match="need sortpool_k >= 10, got sortpool_k=8"):
             build(sortpool_k=8)
 
     def test_unresolved_k_rejected(self):
