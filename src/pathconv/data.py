@@ -24,6 +24,9 @@ from .errors import ConfigError, DatasetError, check_count
 
 log = logging.getLogger(__name__)
 
+# Undirected edges per run that save_tu_dataset sorts and writes at once.
+SAVE_RUN_EDGES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -300,16 +303,31 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     graphs = dataset.graphs
     sizes = [g.node_count for g in graphs]
     first_ids = np.cumsum([1] + sizes[:-1])
-    edges = np.concatenate([g.edges + first for g, first in zip(graphs, first_ids)])
-    directed = np.concatenate([edges, edges[:, ::-1]])
+
+    def lines(rows) -> str:
+        """Integer rows as comma-separated lines, formatted in one step."""
+        rows = np.asarray(rows)
+        line = ", ".join(["%d"] * (rows.shape[1] if rows.ndim == 2 else 1)) + "\n"
+        return (line * len(rows)) % tuple(rows.ravel().tolist())
 
     def write(suffix: str, rows) -> None:
-        np.savetxt(base / f"{dataset.name}_{suffix}.txt", rows, fmt="%d", delimiter=", ")
+        (base / f"{dataset.name}_{suffix}.txt").write_text(lines(rows))
 
     write("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), sizes))
     write("graph_labels", [g.target for g in graphs])
     write("node_labels", np.concatenate([g.features.argmax(axis=1) for g in graphs]))
-    write("A", directed[np.lexsort(directed.T[::-1])])
+    # The edge lines go out one run of about SAVE_RUN_EDGES edges at a
+    # time.  Node ids ascend graph by graph, so the runs' sorted lines,
+    # written in order, are the whole file's lines sorted.
+    _, firsts = np.unique(np.cumsum([len(g.edges) for g in graphs]) // SAVE_RUN_EDGES,
+                          return_index=True)
+    bounds = [*firsts, len(graphs)]
+    with open(base / f"{dataset.name}_A.txt", "w") as fh:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            edges = np.concatenate([g.edges + first
+                                    for g, first in zip(graphs[lo:hi], first_ids[lo:hi])])
+            directed = np.concatenate([edges, edges[:, ::-1]])
+            fh.write(lines(directed[np.lexsort(directed.T[::-1])]))
 
 
 def encode_degree_features(dataset: Dataset) -> Dataset:

@@ -1,14 +1,16 @@
 """Central-finite-difference verification of every analytic gradient.
 
 Each check builds a scalar objective (a fixed random projection of the
-layer output, or the model's cross-entropy loss), computes the analytic
-gradient through ``backward`` and compares it against central differences
-with step 1e-6 in 64-bit.  Inputs feeding the sorting and max-pooling
-layers are constructed with well-separated keys so the objective is
-smooth in the checked neighborhood.  Every layer goes through one
-routine, :func:`check_layer`.  Layers after the graph convolutions are
-checked on batches, and the model both on one graph and on a batch of
-three.
+layer output, or the cross-entropy loss), computes the analytic gradient
+through ``backward`` and compares it against central differences with
+step 1e-6 in 64-bit.  One routine, :func:`compare`, runs every
+comparison: :func:`check_layer` feeds it each layer, :func:`check_model`
+the whole model, and the loss check the loss alone.  Inputs feeding the
+sorting and max-pooling layers are constructed, or drawn again, until
+their keys are well separated, so the objective is smooth in the checked
+neighborhood.  Layers after the graph convolutions are checked on
+batches, and the model on one graph and on a batch of three in each
+mode.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .layers import (
     SortPool,
     softmax_cross_entropy,
 )
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, distance_cutoff
 from .shortest_paths import batch_sp_tensors, compute_sp_tensor
 
 STEP = 1e-6
@@ -76,6 +78,16 @@ def _test_graph(rng: np.random.Generator) -> Graph:
                  target=0)
 
 
+def compare(label: str, objective, checked, tolerance: float) -> list[CheckResult]:
+    """One result per ``(name, point, analytic gradient)`` triple in
+    ``checked``: the gradient against central differences of the scalar
+    ``objective``, which reads ``point`` in place.  A triple named ``None``
+    reports under ``label`` alone."""
+    return [CheckResult(f"{label}.{name}" if name else label,
+                        relative_error(g, central_difference(objective, p)), tolerance)
+            for name, p, g in checked]
+
+
 def check_layer(label: str, layer, forward, x: np.ndarray,
                 projection: np.ndarray) -> list[CheckResult]:
     """Gradients of the objective <forward() output, projection> in every
@@ -88,31 +100,9 @@ def check_layer(label: str, layer, forward, x: np.ndarray,
         g[...] = 0.0
     dx = layer.backward(cache, projection.copy())
     # Read after backward: a layer may fold its sums in only when asked.
-    grads = gradients()
-
-    def objective():
-        return float((forward()[0] * projection).sum())
-
-    results = [CheckResult(f"{label}.{name}",
-                           relative_error(g, central_difference(objective, p)), LAYER_TOL)
-               for (name, p), (_, g) in zip(params, grads)]
-    results.append(CheckResult(f"{label}.input",
-                               relative_error(dx, central_difference(objective, x)),
-                               LAYER_TOL))
-    return results
-
-
-def check_graph_convs(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    graph = _test_graph(rng)
-    sp = compute_sp_tensor(graph, r=2)
-    results = []
-    for label, layer in (("distance_conv", DistanceConv(r=2, c_in=3, c_out=4, rng=rng)),
-                         ("joint_conv", JointConv(c_in=3, c_out=4, rng=rng))):
-        h = rng.normal(size=(graph.node_count, 3))
-        projection = rng.normal(size=(graph.node_count, layer.out_width))
-        results += check_layer(label, layer, lambda: layer.forward(sp, h), h, projection)
-    return results
+    checked = [(name, p, g) for (name, p), (_, g) in zip(params, gradients())]
+    return compare(label, lambda: float((forward()[0] * projection).sum()),
+                   checked + [("input", x, dx)], LAYER_TOL)
 
 
 def _separated_rows(rng: np.random.Generator, n: int, c: int,
@@ -123,56 +113,56 @@ def _separated_rows(rng: np.random.Generator, n: int, c: int,
     return h
 
 
-def check_sortpool(seed: int = 2) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_layers() -> list[CheckResult]:
+    """Every layer on its own, each case from its own seed, and the loss."""
+    rng = np.random.default_rng(0)
+    graph = _test_graph(rng)
+    sp = compute_sp_tensor(graph, r=2)
+    results = []
+    for label, layer in (("distance_conv", DistanceConv(r=2, c_in=3, c_out=4, rng=rng)),
+                         ("joint_conv", JointConv(c_in=3, c_out=4, rng=rng))):
+        h = rng.normal(size=(graph.node_count, 3))
+        projection = rng.normal(size=(graph.node_count, layer.out_width))
+        results += check_layer(label, layer, lambda: layer.forward(sp, h), h, projection)
+
+    rng = np.random.default_rng(2)
     layer = SortPool(k=4)
     # Two graphs: one truncated to k rows, one zero-padded.
     h = np.vstack([_separated_rows(rng, n=6, c=3), _separated_rows(rng, n=3, c=3)])
     offsets = np.array([0, 6, 9])
-    projection = rng.normal(size=(2, 4, 3))
-    return check_layer("sortpool", layer, lambda: layer.forward(h, offsets=offsets),
-                       h, projection)
+    results += check_layer("sortpool", layer, lambda: layer.forward(h, offsets=offsets),
+                           h, rng.normal(size=(2, 4, 3)))
 
-
-def check_conv1d(seed: int = 3) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
+    rng = np.random.default_rng(3)
     for label, width, c_in in (("pointwise", 1, 4), ("sliding", 5, 3)):
         layer = Conv1D(c_in=c_in, filters=3, width=width, rng=rng)
         x = rng.normal(size=(2, 16, c_in))
         projection = rng.normal(size=(2, layer.out_length(16), 3))
         results += check_layer(f"conv1d[{label}]", layer, lambda: layer.forward(x),
                                x, projection)
-    return results
 
-
-def check_maxpool(seed: int = 4) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4)
     layer = MaxPool1D()
     # Separate pair entries so the argmax is stable under the FD step.
     x = (rng.permutation(2 * 12 * 3).reshape(2, 12, 3) * 0.05
          + rng.uniform(0, 0.01, (2, 12, 3)))
-    projection = rng.normal(size=(2, 6, 3))
-    return check_layer("maxpool", layer, lambda: layer.forward(x), x, projection)
+    results += check_layer("maxpool", layer, lambda: layer.forward(x), x,
+                           rng.normal(size=(2, 6, 3)))
 
-
-def check_dense(seed: int = 5) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     layer = Dense(c_in=7, c_out=4, rng=rng)
     x = rng.normal(size=(3, 7))
-    projection = rng.normal(size=(3, 4))
-    return check_layer("dense", layer, lambda: layer.forward(x), x, projection)
+    results += check_layer("dense", layer, lambda: layer.forward(x), x,
+                           rng.normal(size=(3, 4)))
 
-
-def check_cross_entropy(seed: int = 6) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(6)
     logits = rng.normal(size=(3, 5))
     targets = np.array([2, 0, 4])
     _, grad = softmax_cross_entropy(logits, targets)
-    numeric = central_difference(
-        lambda: softmax_cross_entropy(logits, targets)[0].sum(), logits)
     # The loss gradient is exact, so hold it to a tighter tolerance.
-    return [CheckResult("softmax_cross_entropy", relative_error(grad, numeric), 1e-8)]
+    return results + compare("softmax_cross_entropy",
+                             lambda: softmax_cross_entropy(logits, targets)[0].sum(),
+                             [(None, logits, grad)], 1e-8)
 
 
 def sort_key_gaps(model: Model, sp, x) -> np.ndarray:
@@ -195,10 +185,10 @@ def readout_margin(model: Model, sp, x) -> float:
     return margin
 
 
-def _small_model(rng: np.random.Generator) -> Model:
+def _small_model(rng: np.random.Generator, mode: str = "parametric") -> Model:
     config = ModelConfig(r=2, conv_layers=2, channels=3, sortpool_k=10,
                          conv1_filters=3, conv2_filters=4, dense_width=6,
-                         dropout_rate=0.0, seed=int(rng.integers(1 << 31)))
+                         dropout_rate=0.0, mode=mode, seed=int(rng.integers(1 << 31)))
     model = Model(config, feature_dim=3, num_classes=2)
     # Nudge every parameter (biases included) so no pre-activation sits
     # exactly on a rectifier kink; zero-padded pooling rows would otherwise
@@ -208,8 +198,8 @@ def _small_model(rng: np.random.Generator) -> Model:
     return model
 
 
-def _model_results(label: str, model: Model, sp, x, targets,
-                   input_rows: slice) -> list[CheckResult]:
+def check_model(label: str, model: Model, sp, x, targets,
+                input_rows: slice) -> list[CheckResult]:
     """Summed cross-entropy gradients of every parameter and of the
     feature rows ``input_rows`` against central differences."""
     # Kinks next to the evaluation point would poison the differences.
@@ -223,66 +213,62 @@ def _model_results(label: str, model: Model, sp, x, targets,
 
     model.zero_gradients()
     _, _, dx = model.loss_and_gradients(sp, x, targets, input_grad=True)
-    results = []
-    for (name, p), (_, g) in zip(model.parameters(), model.gradients()):
-        numeric = central_difference(objective, p)
-        results.append(CheckResult(f"{label}.{name}", relative_error(g, numeric),
-                                   MODEL_TOL))
-    numeric = central_difference(objective, x[input_rows])
-    results.append(CheckResult(f"{label}.input",
-                               relative_error(dx[input_rows], numeric), MODEL_TOL))
-    return results
+    checked = [(name, p, g) for (name, p), (_, g) in zip(model.parameters(),
+                                                           model.gradients())]
+    return compare(label, objective,
+                   checked + [("input", x[input_rows], dx[input_rows])], MODEL_TOL)
 
 
-def check_model(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def _inputs(rng: np.random.Generator, model: Model, sp, features: np.ndarray,
+            tie: tuple[int, int] | None = None) -> np.ndarray:
+    """Features plus noise, with row ``tie[0]`` set to row ``tie[1]``.  The
+    noise is drawn again while any two sort keys of a graph lie within
+    1e-2, apart from the one designed tie: a key crossing another under
+    the finite-difference step would break the check."""
+    ties = 0 if tie is None else 1
+    for _ in range(20):
+        x = features + rng.normal(scale=0.3, size=features.shape)
+        if tie is not None:
+            x[tie[0]] = x[tie[1]]
+        gaps = np.sort(sort_key_gaps(model, sp, x))
+        if np.count_nonzero(gaps == 0.0) == ties and gaps[ties] > 1e-2:
+            return x
+    raise AssertionError(f"sort keys are not {ties} exact ties and clear gaps: {gaps}")
+
+
+def check_models() -> list[CheckResult]:
+    """The whole model on one graph, then on a batch of three in each mode.
+
+    In the batch the second graph has two mirror-image leaves with equal
+    features, so its rows tie exactly on every column; a parameter step
+    moves both alike, so the tie, and the order it falls back to, hold.
+    Input rows are checked on the first graph only, since moving one leaf
+    alone would break the tie."""
+    rng = np.random.default_rng(0)
     graph = _test_graph(rng)
     sp = compute_sp_tensor(graph, r=2)
     model = _small_model(rng)
-    x = graph.features + rng.normal(scale=0.3, size=graph.features.shape)
-    gap = sort_key_gaps(model, sp, x).min()
-    if gap <= 1e-2:
-        raise AssertionError(f"sort keys too close for a finite-difference check: {gap}")
-    return _model_results("model", model, sp, x, np.array([1]), slice(None))
-
-
-def check_batched_model(seed: int = 1) -> list[CheckResult]:
-    """Three graphs in one pass.  The second has two mirror-image leaves
-    with equal features, so its rows tie exactly on every column; a
-    parameter step moves both alike, so the tie, and the order it falls
-    back to, hold.  Input rows are checked on the first graph only, since
-    moving one leaf alone would break the tie."""
-    rng = np.random.default_rng(seed)
-    mirrored = Graph(node_count=5, edges=[(0, 1), (0, 2), (0, 3), (3, 4)],
-                     features=np.eye(3)[[0, 1, 1, 2, 0]], target=1)
-    path = Graph(node_count=4, edges=[(0, 1), (1, 2), (2, 3)],
-                 features=np.eye(3)[rng.integers(0, 3, size=4)], target=0)
-    graphs = [_test_graph(rng), mirrored, path]
-    sp = batch_sp_tensors([compute_sp_tensor(g, r=2) for g in graphs])
-    model = _small_model(rng)
-    x = np.vstack([g.features for g in graphs])
-    x += rng.normal(scale=0.3, size=x.shape)
-    x[8] = x[9]  # the mirrored leaves
-    gaps = sort_key_gaps(model, sp, x)
-    if np.count_nonzero(gaps == 0.0) != 1 or np.sort(gaps)[1] <= 1e-2:
-        raise AssertionError(f"sort keys are not one exact tie and clear gaps: {gaps}")
-    targets = np.array([0, 1, 1])
-    return _model_results("batched_model", model, sp, x, targets,
-                          slice(0, graphs[0].node_count))
+    x = _inputs(rng, model, sp, graph.features)
+    results = check_model("model", model, sp, x, np.array([1]), slice(None))
+    for label, mode in (("batched_model", "parametric"), ("baseline_model", "dgcnn_baseline")):
+        rng = np.random.default_rng(1)
+        mirrored = Graph(node_count=5, edges=[(0, 1), (0, 2), (0, 3), (3, 4)],
+                         features=np.eye(3)[[0, 1, 1, 2, 0]], target=1)
+        path = Graph(node_count=4, edges=[(0, 1), (1, 2), (2, 3)],
+                     features=np.eye(3)[rng.integers(0, 3, size=4)], target=0)
+        graphs = [_test_graph(rng), mirrored, path]
+        model = _small_model(rng, mode)
+        sp = batch_sp_tensors([compute_sp_tensor(g, distance_cutoff(model.config))
+                               for g in graphs])
+        x = _inputs(rng, model, sp, np.vstack([g.features for g in graphs]), tie=(8, 9))
+        results += check_model(label, model, sp, x, np.array([0, 1, 1]),
+                               slice(0, graphs[0].node_count))
+    return results
 
 
 def run_all() -> list[CheckResult]:
     """The full finite-difference suite, layer by layer and end to end."""
-    results = []
-    results += check_graph_convs()
-    results += check_sortpool()
-    results += check_conv1d()
-    results += check_maxpool()
-    results += check_dense()
-    results += check_cross_entropy()
-    results += check_model()
-    results += check_batched_model()
-    return results
+    return check_layers() + check_models()
 
 
 def main_report(out=print) -> bool:

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -100,8 +103,10 @@ class ModelConfig:
                 check_count(name, value, low)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if not self.learning_rate > 0:  # NaN too
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # Finite as a float: NaN, inf and ints past the float range fail too.
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ConfigError("learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
 
 def distance_cutoff(config: ModelConfig) -> int:
@@ -302,13 +307,31 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value."""
-    with np.load(path, allow_pickle=False) as data:
+    """Rebuild a model from :func:`save_checkpoint` output, bit-exact in value.
+
+    A file that is not a readable archive of arrays (empty, truncated,
+    damaged, text or a single array) raises ConfigError naming it; a
+    missing file raises FileNotFoundError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from None
+    if isinstance(data, np.ndarray):
+        raise ConfigError(f"checkpoint {path} is a single array, not an archive")
+
+    def entry(name: str) -> np.ndarray:
+        try:
+            return data[name]
+        except (ValueError, zipfile.BadZipFile, zlib.error) as exc:  # object array, damage
+            raise ConfigError(f"checkpoint {path} entry {name} is unreadable: {exc}") from None
+
+    with data:
         if "__meta__" not in data:
             raise ConfigError("checkpoint lacks its __meta__ entry")
+        raw = entry("__meta__")
         try:
-            meta = json.loads(str(data["__meta__"]))
-        except ValueError:  # not JSON, or an object array
+            meta = json.loads(str(raw))
+        except ValueError:  # not JSON
             meta = None
         if not isinstance(meta, dict):
             raise ConfigError("checkpoint __meta__ entry is not a JSON object")
@@ -329,10 +352,7 @@ def load_checkpoint(path) -> Model:
         for name, p in model.parameters():
             if name not in data:
                 raise ConfigError(f"checkpoint lacks parameter {name}")
-            try:
-                stored = data[name]
-            except ValueError as exc:  # an object array, which needs pickle
-                raise ConfigError(f"checkpoint parameter {name} is unreadable: {exc}") from None
+            stored = entry(name)
             if stored.shape != p.shape:
                 raise ConfigError(f"checkpoint shape mismatch for {name}: "
                                   f"{stored.shape}, model has {p.shape}")

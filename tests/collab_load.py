@@ -4,7 +4,7 @@ Writes ``synthetic.collab_like(0, graphs)`` to a temporary directory
 without a node-label file, as COLLAB ships, then loads it in ``--loads``
 fresh processes, each printing its load seconds and its peak resident
 set size (``ru_maxrss``).  At the default 5000 graphs the edge file has
-about 25.4M lines (366 MB), and writing it takes about 40 s and 1.6 GB.
+about 25.4M lines (366 MB), and writing it takes about 11 s and 0.3 GB.
 The directory is deleted on exit; ``--keep DIR`` keeps the set in DIR
 instead, and reuses a set already there.  Run from the repository root:
 

@@ -339,6 +339,10 @@ def test_gradcheck_covers_batched_model():
     assert any(r.name == "batched_model.input" for r in batched)
     assert len(batched) == sum(1 for r in results if r.name.startswith("model."))
     assert all(r.passed for r in batched)
+    baseline = [r for r in results if r.name.startswith("baseline_model.")]
+    assert any(r.name == "baseline_model.input" for r in baseline)
+    assert any(r.name == "baseline_model.gconv1.w0" for r in baseline)
+    assert all(r.passed for r in baseline)
 
 
 def test_baseline_mode_builds_only_distance_one(toy_dataset, monkeypatch):

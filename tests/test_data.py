@@ -322,6 +322,23 @@ class TestRoundTrip:
             assert np.array_equal(a.features, b.features)
             assert a.target == b.target
 
+    @pytest.mark.parametrize("run_edges", [1, 7, 1 << 16])
+    def test_edge_file_is_every_directed_line_sorted(self, tmp_path, monkeypatch, run_edges):
+        """Written one run of graphs at a time, the edge file holds the
+        same bytes as all the dataset's directed lines sorted at once."""
+        monkeypatch.setattr("pathconv.data.SAVE_RUN_EDGES", run_edges)
+        rng = np.random.default_rng(4)
+        graphs = tuple(random_graph(rng, n, 0.4, target=i % 2)
+                       for i, n in enumerate([5, 1, 8, 3, 12, 2, 9]))
+        save_tu_dataset(Dataset("MULTI", graphs, num_classes=2, feature_dim=3), tmp_path)
+        pairs, first = [], 1
+        for g in graphs:
+            for i, j in g.edges.tolist():
+                pairs += [(i + first, j + first), (j + first, i + first)]
+            first += g.node_count
+        expected = "".join(f"{i}, {j}\n" for i, j in sorted(pairs))
+        assert (tmp_path / "MULTI_A.txt").read_bytes() == expected.encode()
+
     def test_degree_encoded_round_trip(self, tmp_path):
         ds = encode_degree_features(Dataset(
             "DEG", (path_graph(3, 0), path_graph(5, 1)), num_classes=2, feature_dim=1))

@@ -358,6 +358,29 @@ def test_finite_difference_suite_passes():
         assert result.passed, f"{result.name}: rel_err={result.rel_error:.3e}"
 
 
+READOUT_PARAMS = ["conv1.kernel", "conv1.bias", "conv2.kernel", "conv2.bias",
+                  "dense1.weight", "dense1.bias", "dense2.weight", "dense2.bias", "input"]
+PARAMETRIC_PARAMS = [f"gconv{i}.w{j}" for i in range(2) for j in range(3)] + READOUT_PARAMS
+GRADIENT_CHECKS = [
+    "distance_conv.w0", "distance_conv.w1", "distance_conv.w2", "distance_conv.input",
+    "joint_conv.w0", "joint_conv.input",
+    "sortpool.input",
+    "conv1d[pointwise].kernel", "conv1d[pointwise].bias", "conv1d[pointwise].input",
+    "conv1d[sliding].kernel", "conv1d[sliding].bias", "conv1d[sliding].input",
+    "maxpool.input",
+    "dense.weight", "dense.bias", "dense.input",
+    "softmax_cross_entropy",
+    *(f"model.{name}" for name in PARAMETRIC_PARAMS),
+    *(f"batched_model.{name}" for name in PARAMETRIC_PARAMS),
+    *(f"baseline_model.{name}" for name in ["gconv0.w0", "gconv1.w0"] + READOUT_PARAMS),
+]
+
+
+def test_finite_difference_suite_names_every_check():
+    """A refactor of the suite cannot drop, rename or reorder a check."""
+    assert [result.name for result in run_all()] == GRADIENT_CHECKS
+
+
 def test_dense_and_relu_chain_matches_manual():
     layer = Dense(c_in=3, c_out=2, rng=rng())
     x = np.array([1.0, -1.0, 2.0])

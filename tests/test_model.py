@@ -1,7 +1,11 @@
 """Whole-network behavior: shapes, invariances, determinism, checkpoints."""
 
 import dataclasses
+import io
 import json
+import re
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -374,6 +378,40 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="dense2.bias"):
             load_checkpoint(path)
 
+    @staticmethod
+    def stored_span(raw: bytes, member: str) -> tuple[int, int]:
+        """Start and end of the stored bytes of archive member ``member``."""
+        info = zipfile.ZipFile(io.BytesIO(raw)).getinfo(member)
+        header = info.header_offset
+        start = header + 30 + sum(struct.unpack("<HH", raw[header + 26:header + 30]))
+        return start, start + info.compress_size
+
+    @pytest.mark.parametrize("damage", ["empty", "first half", "bad crc", "bad deflate",
+                                        "text", "npy"])
+    def test_unreadable_file_is_config_error(self, tmp_path, damage):
+        path = tmp_path / "damaged.npz"
+        save_checkpoint(build(seed=9), path)
+        if damage == "bad deflate":  # a compressed copy, which np.load reads too
+            with np.load(path) as data:
+                np.savez_compressed(path, **dict(data))
+        raw = path.read_bytes()
+        start, end = self.stored_span(raw, "conv2.kernel.npy")
+        if damage == "npy":
+            path = tmp_path / "array.npy"
+            np.save(path, np.zeros(3))
+        else:
+            path.write_bytes({"empty": b"",
+                              "first half": raw[:len(raw) // 2],
+                              "bad crc": raw[:end - 8] + bytes(8) + raw[end:],
+                              "bad deflate": raw[:start] + b"\xff\xff\xff" + raw[start + 3:],
+                              "text": b"not a checkpoint\n"}[damage])
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_missing_file_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "gone.npz")
+
     def test_unversioned_old_layout_is_format_error(self, tmp_path):
         """A checkpoint from before the format field, whose conv1 kernel
         has the old (filters, concat_width, 1) shape, is refused for its
@@ -416,7 +454,9 @@ class TestConfigValidByConstruction:
     @pytest.mark.parametrize("key, value", [
         ("r", 2.5), ("epochs", 2.0), ("batch_size", 16.0), ("channels", 3.0),
         ("conv_layers", True), ("sortpool_k", 10.0), ("sortpool_k", 8),
-        ("dropout_rate", "0.5"), ("learning_rate", "1e-3"), ("seed", 1.5), ("seed", -1),
+        ("dropout_rate", "0.5"), ("learning_rate", "1e-3"), ("learning_rate", float("inf")),
+        pytest.param("learning_rate", 2**1024, id="learning_rate-2**1024"),
+        ("seed", 1.5), ("seed", -1),
         pytest.param("r", np.int64(2), id="r-np.int64"),
     ])
     def test_wrong_type_or_range_is_config_error(self, key, value):
