@@ -39,7 +39,9 @@ class Graph:
     integers.  ``node_count`` and ``target`` are stored as Python ints; a
     bool, float or str raises DatasetError.  ``features`` is stored as a
     read-only (n, d) bool, int or float array, anything else raises
-    DatasetError; its rows are one-hot after encoding.  Instances are
+    DatasetError; its rows are one-hot after encoding.  The loader and
+    :func:`encode_degree_features` store them as bool, one byte per
+    entry, and the model widens them to float64 at its input.  Instances are
     immutable and safe to share across workers; they compare by identity.
     """
 
@@ -183,8 +185,8 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     ``root_path/<name>/``.  Edges are symmetrized, deduplicated and
     stripped of self-loops; graph class labels are remapped to 0..C-1
     preserving their sorted original order; node labels (when present)
-    are one-hot encoded over the sorted alphabet observed across the
-    whole dataset.  Datasets without node labels get a constant single
+    are one-hot encoded, as bool rows, over the sorted alphabet observed
+    across the whole dataset.  Datasets without node labels get a constant single
     one-hot column (see :func:`encode_degree_features` for the usual
     follow-up on such datasets).
     """
@@ -273,7 +275,7 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
         log.info("%s: no node labels, using a constant one-column encoding", name)
         feature_dim = 1
         columns = np.zeros(total_nodes, dtype=np.int64)
-    features = np.eye(feature_dim)[columns[order]]
+    features = np.eye(feature_dim, dtype=bool)[columns[order]]
 
     if fpath("edge_labels").exists():
         log.info("%s: ignoring edge labels (%s)", name, fpath("edge_labels").name)
@@ -296,11 +298,22 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     Each undirected edge is emitted in both directions with 1-based global
     node ids; node labels are written as the one-hot column index of each
     feature row, so a load/save/load cycle reproduces adjacency, features
-    and targets exactly.
+    and targets exactly.  A feature row that is not one-hot (one entry 1,
+    the rest 0) has no such index and raises DatasetError naming the
+    graph and the row, both 0-based.
     """
+    graphs = dataset.graphs
+    # Every node label before any file is written: a bad row leaves none.
+    node_labels = []
+    for i, g in enumerate(graphs):
+        bad = np.flatnonzero((np.count_nonzero(g.features, axis=1) != 1)
+                             | (np.count_nonzero(g.features == 1, axis=1) != 1))
+        if bad.size:
+            raise DatasetError(f"graph {i} row {bad[0]}: features "
+                               f"{g.features[bad[0]].tolist()} are not one-hot")
+        node_labels.append(g.features.argmax(axis=1))
     base = Path(root_path)
     base.mkdir(parents=True, exist_ok=True)
-    graphs = dataset.graphs
     sizes = [g.node_count for g in graphs]
     first_ids = np.cumsum([1] + sizes[:-1])
 
@@ -315,7 +328,7 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
 
     write("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), sizes))
     write("graph_labels", [g.target for g in graphs])
-    write("node_labels", np.concatenate([g.features.argmax(axis=1) for g in graphs]))
+    write("node_labels", np.concatenate(node_labels))
     # The edge lines go out one run of about SAVE_RUN_EDGES edges at a
     # time.  Node ids ascend graph by graph, so the runs' sorted lines,
     # written in order, are the whole file's lines sorted.
@@ -331,7 +344,8 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
 
 
 def encode_degree_features(dataset: Dataset) -> Dataset:
-    """Replace node features by a one-hot encoding of node degree.
+    """Replace node features by a one-hot encoding of node degree, as
+    bool rows.
 
     The degree alphabet is the sorted set of distinct degrees observed
     across the whole dataset.  Intended for datasets loaded without node
@@ -339,7 +353,7 @@ def encode_degree_features(dataset: Dataset) -> Dataset:
     """
     alphabet, columns = np.unique(np.concatenate([g.degrees() for g in dataset.graphs]),
                                   return_inverse=True)
-    features = np.eye(alphabet.size)[columns]
+    features = np.eye(alphabet.size, dtype=bool)[columns]
     offsets = np.cumsum([0] + [g.node_count for g in dataset.graphs])
     graphs = tuple(Graph(g.node_count, g.edges, features[offsets[i]:offsets[i + 1]], g.target)
                    for i, g in enumerate(dataset.graphs))

@@ -189,10 +189,13 @@ class SortPool:
         return out, (slot, kept, out.shape)
 
     def backward(self, record, dout: np.ndarray) -> np.ndarray:
+        """The gradient at the input rows.  Each column is routed alone, so
+        ``dout`` may hold any slice of the channels: its leading dimensions
+        must match the forward output, its last may be any width."""
         slot, kept, shape = record
-        if dout.shape != shape:
+        if dout.shape[:-1] != shape[:-1]:
             raise ValueError(f"gradient shape {dout.shape} does not match {shape}")
-        dh = dout.reshape(-1, shape[-1])[np.where(kept, slot, 0)]
+        dh = dout.reshape(-1, dout.shape[-1])[np.where(kept, slot, 0)]
         dh[~kept] = 0.0
         return dh
 

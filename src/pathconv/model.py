@@ -190,7 +190,7 @@ class Model:
             )
         hcat = np.empty((sp.node_count, self.concat_width))
         caches = []
-        h = x
+        h = np.asarray(x, dtype=np.float64)  # one-byte one-hot rows widen here
         for conv, (lo, hi) in zip(self.graph_convs, self._conv_columns):
             h, cache = conv.forward(sp, h, out=hcat[:, lo:hi])
             caches.append(cache)
@@ -198,8 +198,9 @@ class Model:
 
     def forward(self, sp: SPTensor, x: np.ndarray, rng: np.random.Generator | None = None):
         """Class probabilities, one row per graph of ``sp``, plus the cache
-        backward needs.  ``x`` stacks the graphs' feature rows.  Dropout
-        draws its mask from ``rng`` and is off without one."""
+        backward needs.  ``x`` stacks the graphs' feature rows, bool, int
+        or float; every layer computes in float64.  Dropout draws its mask
+        from ``rng`` and is off without one."""
         hcat, conv_caches = self._convolve(sp, x)
         h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
         readout_caches = []
@@ -222,13 +223,14 @@ class Model:
         for layer, layer_cache in zip(reversed(self.readout),
                                       reversed(cache["readout_caches"])):
             d = layer.backward(layer_cache, d)
-        dhcat = self.sortpool.backward(cache["record"], d)
 
         # Each conv output feeds both the concatenation and the next layer.
+        # SortPool routes each layer's columns alone, so no gradient as wide
+        # as the concatenation is ever built.
         dnext = None
         for i in reversed(range(len(self.graph_convs))):
             lo, hi = self._conv_columns[i]
-            dout = dhcat[:, lo:hi]
+            dout = self.sortpool.backward(cache["record"], d[..., lo:hi])
             if dnext is not None:
                 dout += dnext
             dnext = self.graph_convs[i].backward(cache["conv_caches"][i], dout,

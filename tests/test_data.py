@@ -301,6 +301,28 @@ class TestLoadTuDataset:
         assert ds.feature_dim == 1
         assert np.array_equal(ds.graphs[0].features, np.ones((2, 1)))
 
+    @pytest.mark.parametrize("encoding", ["node labels", "constant", "degrees"])
+    def test_one_hot_rows_are_one_byte(self, tmp_path, encoding):
+        """Loaded and degree-encoded one-hot rows are read-only bool, one
+        byte per entry, with the values of the float64 one-hot over the
+        sorted alphabet."""
+        labels = np.random.default_rng(5).choice([7, -1, 3], size=9)
+        write_tu_files(tmp_path, "ONE", indicator=[1] * 4 + [2] * 5, graph_labels=[0, 1],
+                       edges_1based=[(1, 2), (2, 3), (3, 1), (5, 6), (6, 7), (7, 8), (5, 8)],
+                       node_labels=labels if encoding == "node labels" else None)
+        ds = load_tu_dataset(tmp_path, "ONE")
+        values = labels if encoding == "node labels" else np.zeros(9)
+        if encoding == "degrees":
+            ds = encode_degree_features(ds)
+            values = np.concatenate([g.degrees() for g in ds.graphs])
+        alphabet, columns = np.unique(values, return_inverse=True)
+        assert ds.feature_dim == alphabet.size
+        for g in ds.graphs:
+            assert g.features.dtype == bool and not g.features.flags.writeable
+            assert g.features.nbytes == g.node_count * ds.feature_dim
+        assert np.array_equal(np.concatenate([g.features for g in ds.graphs]),
+                              np.eye(alphabet.size)[columns])
+
     def test_nested_directory_layout(self, tmp_path):
         write_tu_files(tmp_path / "NEST", "NEST", edges_1based=[(1, 2), (2, 1)],
                        indicator=[1, 1], graph_labels=[0])
@@ -338,6 +360,18 @@ class TestRoundTrip:
             first += g.node_count
         expected = "".join(f"{i}, {j}\n" for i, j in sorted(pairs))
         assert (tmp_path / "MULTI_A.txt").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5], [0.0, 0.0], [0.0, 2.0]])
+    def test_row_not_one_hot_refused(self, tmp_path, row):
+        """A row with no one-hot column index is refused before any file is
+        written; saved as its argmax, it would reload as another row."""
+        graphs = (Graph(2, [(0, 1)], np.eye(2), 0),
+                  Graph(3, [(0, 1)], [[0.0, 1.0], row, [1.0, 0.0]], 1))
+        with pytest.raises(DatasetError, match=rf"graph 1 row 1: features \[{row[0]}, "
+                                               rf"{row[1]}\] are not one-hot"):
+            save_tu_dataset(Dataset("BAD", graphs, num_classes=2, feature_dim=2),
+                            tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
     def test_degree_encoded_round_trip(self, tmp_path):
         ds = encode_degree_features(Dataset(

@@ -202,6 +202,28 @@ class TestSortPool:
         dh = layer.backward(record, np.array([[[1.0], [1.0]]]))
         assert dh[0, 0] == 0.0  # the smallest row was dropped
 
+    @pytest.mark.parametrize("sizes", [(7,), (2,), (6,), (7, 2, 6)],
+                             ids=["truncated", "zero-padded", "tied", "batch"])
+    def test_backward_separates_by_column(self, sizes):
+        """Routing a slice of the channels gives those columns of the full
+        gradient, bitwise: for a graph cut to k rows, one padded with zero
+        rows, one with rows tied on the last column and on every column,
+        and all three in one batch."""
+        rng_ = np.random.default_rng(8)
+        blocks = {7: rng_.normal(size=(7, 3)), 2: rng_.normal(size=(2, 3)),
+                  6: np.array([[1.0, 2.0, 5.0], [3.0, 2.0, 5.0], [1.0, 2.0, 5.0],
+                               [0.0, 0.0, 1.0], [1.0, 2.0, 5.0], [3.0, 1.0, 5.0]])}
+        h = np.concatenate([blocks[n] for n in sizes])
+        layer = SortPool(k=4)
+        _, record = layer.forward(h, offsets=np.cumsum([0, *sizes]))
+        dout = rng_.normal(size=(len(sizes), 4, 3))
+        full = layer.backward(record, dout)
+        for lo, hi in [(0, 1), (1, 3), (2, 3), (0, 3)]:
+            assert np.array_equal(layer.backward(record, dout[..., lo:hi]), full[:, lo:hi])
+        for shape in [(len(sizes), 5, 3), (len(sizes) + 1, 4, 1), (4, 3)]:
+            with pytest.raises(ValueError, match="does not match"):
+                layer.backward(record, np.zeros(shape))
+
 
 class TestConv1D:
     def test_width_one_identity_kernel(self):

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -12,17 +13,20 @@ import pytest
 
 from pathconv import (
     ConfigError,
+    Dataset,
     Graph,
     Model,
     ModelConfig,
     compute_sp_tensor,
     load_checkpoint,
+    load_tu_dataset,
     model_forward,
     resolve_sortpool_k,
     save_checkpoint,
+    save_tu_dataset,
 )
 from pathconv.model import MODES, distance_cutoff
-from pathconv.shortest_paths import batch_sp_tensors
+from pathconv.shortest_paths import batch_sp_tensors, sp_tensors
 
 from oracles import (
     floyd_warshall_distances,
@@ -244,6 +248,30 @@ class TestDeterminism:
         a = build(seed=1).parameters()
         b = build(seed=2).parameters()
         assert any(not np.array_equal(p, q) for (_, p), (_, q) in zip(a, b))
+
+
+def test_training_pass_peak_memory_per_node(tmp_path):
+    """One training pass over a 3000-node graph, with 89 label columns as
+    the loader stores them, peaks within 6.8 KB per node traced at r = 2.
+    A gradient as wide as the concatenated layer outputs (2.3 KB per node)
+    would break it."""
+    idx = np.arange(3000).reshape(60, 50)  # a triangulated grid
+    edges = np.concatenate([np.stack((a.ravel(), b.ravel()), 1) for a, b in (
+        (idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:]), (idx[:-1, :-1], idx[1:, 1:]))])
+    labels = np.random.default_rng(0).integers(89, size=idx.size)
+    labels[:89] = np.arange(89)
+    save_tu_dataset(Dataset("GRID", (Graph(idx.size, edges, np.eye(89)[labels], 0),), 1, 89),
+                    tmp_path)
+    (g,) = load_tu_dataset(tmp_path, "GRID").graphs
+    model = Model(ModelConfig(r=2, sortpool_k=100), g.feature_dim, 2)
+    sp = sp_tensors([g], 2)[0]
+    tracemalloc.start()
+    try:
+        model.loss_and_gradients(sp, g.features, g.target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6800 * g.node_count, f"{peak / g.node_count:.0f} bytes per node"
 
 
 class TestCheckpoint:

@@ -13,16 +13,24 @@ import pytest
 
 from pathconv import (
     ConfigError,
+    Dataset,
     ExperimentReport,
     FoldReport,
+    Graph,
+    Model,
     ModelConfig,
     NumericalError,
     compute_sp_tensor,
     emit_report,
+    load_tu_dataset,
+    model_forward,
+    precompute_sp_tensors,
     run_experiment,
+    save_tu_dataset,
     stratified_folds,
     train_one_fold,
 )
+from pathconv.model import MODES, distance_cutoff
 import pathconv.training as training
 
 from conftest import build_toy_dataset
@@ -66,6 +74,27 @@ class TestTrainOneFold:
         assert a.train_losses == b.train_losses
         assert a.val_losses == b.val_losses
         assert a.val_accuracies == b.val_accuracies
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loaded_bool_rows_train_as_float64_rows(self, toy_dataset, tmp_path, mode):
+        """A saved and reloaded dataset, its rows stored as bool, gives the
+        same bits as the same rows cast to float64: every loss, validation
+        curve, test accuracy and model_forward probability."""
+        save_tu_dataset(toy_dataset, tmp_path)
+        compact = load_tu_dataset(tmp_path, toy_dataset.name)
+        assert all(g.features.dtype == bool for g in compact.graphs)
+        wide = Dataset(compact.name, tuple(
+            Graph(g.node_count, g.edges, g.features.astype(np.float64), g.target)
+            for g in compact.graphs), compact.num_classes, compact.feature_dim)
+        config = dataclasses.replace(TOY_CONFIG, mode=mode, epochs=4)
+        split = toy_splits(compact)[0]
+        a, b = (train_one_fold(ds, split, config) for ds in (compact, wide))
+        for field in ("train_losses", "val_losses", "val_accuracies", "test_accuracy"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        model = Model(config, compact.feature_dim, compact.num_classes)
+        sps = precompute_sp_tensors(compact, distance_cutoff(config))
+        for g, h, sp in zip(compact.graphs, wide.graphs, sps, strict=True):
+            assert np.array_equal(model_forward(g, sp, model), model_forward(h, sp, model))
 
     def test_best_epoch_is_earliest_argmax(self, toy_dataset):
         split = toy_splits(toy_dataset)[0]
