@@ -41,8 +41,11 @@ class Graph:
     read-only (n, d) bool, int or float array, anything else raises
     DatasetError; its rows are one-hot after encoding.  The loader and
     :func:`encode_degree_features` store them as bool, one byte per
-    entry, and the model widens them to float64 at its input.  Instances are
-    immutable and safe to share across workers; they compare by identity.
+    entry, and the model reads them as stored.  A features array, and an
+    int64 edges array already in that order, are kept without a copy and
+    marked read-only, so the caller's own array becomes read-only too.
+    Instances are immutable and safe to share across workers; they
+    compare by identity.
     """
 
     node_count: int
@@ -98,13 +101,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.node_count)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (derived on demand)."""
-        a = np.zeros((self.node_count, self.node_count))
-        i, j = self.edges.T
-        a[i, j] = a[j, i] = 1.0
-        return a
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ class GraphConv:
 
     def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
         """``out``, if given, is the (nodes, out_width) array to write into."""
-        if h.shape[1] != self.c_in:
-            raise ValueError(f"expected {self.c_in} input columns, got {h.shape[1]}")
         w = np.concatenate(self.weights, axis=1)
         act = np.tanh(self._propagate(sp, h @ w), out=out)
         return act, (sp, h, w, act)

@@ -181,16 +181,17 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
-    def _convolve(self, sp: SPTensor, x: np.ndarray):
+    def _convolve(self, sp: SPTensor, h: np.ndarray):
         """Every graph convolution, each writing its columns of one
-        (nodes, concat_width) array; returns that array and the caches."""
-        if x.shape[1] != self.feature_dim:
+        (nodes, concat_width) array; returns that array and the caches.
+        The feature rows ``h`` reach the first convolution as stored: its
+        GEMMs widen bool and int rows to float64 themselves."""
+        if h.shape[1] != self.feature_dim:
             raise ValueError(
-                f"feature dimension {x.shape[1]} does not match model ({self.feature_dim})"
+                f"feature dimension {h.shape[1]} does not match model ({self.feature_dim})"
             )
         hcat = np.empty((sp.node_count, self.concat_width))
         caches = []
-        h = np.asarray(x, dtype=np.float64)  # one-byte one-hot rows widen here
         for conv, (lo, hi) in zip(self.graph_convs, self._conv_columns):
             h, cache = conv.forward(sp, h, out=hcat[:, lo:hi])
             caches.append(cache)
@@ -199,7 +200,8 @@ class Model:
     def forward(self, sp: SPTensor, x: np.ndarray, rng: np.random.Generator | None = None):
         """Class probabilities, one row per graph of ``sp``, plus the cache
         backward needs.  ``x`` stacks the graphs' feature rows, bool, int
-        or float; every layer computes in float64.  Dropout draws its mask
+        or float; the model reads it as stored and keeps no copy, and
+        every product with a weight is float64.  Dropout draws its mask
         from ``rng`` and is off without one."""
         hcat, conv_caches = self._convolve(sp, x)
         h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
@@ -314,20 +316,20 @@ def load_checkpoint(path) -> Model:
     A file that is not a readable archive of arrays (empty, truncated,
     damaged, text or a single array) raises ConfigError naming it; a
     missing file raises FileNotFoundError."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from None
-    if isinstance(data, np.ndarray):
-        raise ConfigError(f"checkpoint {path} is a single array, not an archive")
-
-    def entry(name: str) -> np.ndarray:
+    with open(path, "rb") as fh:  # closed on every path, a failed parse too
         try:
-            return data[name]
-        except (ValueError, zipfile.BadZipFile, zlib.error) as exc:  # object array, damage
-            raise ConfigError(f"checkpoint {path} entry {name} is unreadable: {exc}") from None
+            data = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"checkpoint {path} is unreadable: {exc}") from None
+        if isinstance(data, np.ndarray):
+            raise ConfigError(f"checkpoint {path} is a single array, not an archive")
 
-    with data:
+        def entry(name: str) -> np.ndarray:
+            try:
+                return data[name]
+            except (ValueError, zipfile.BadZipFile, zlib.error) as exc:  # object array, damage
+                raise ConfigError(f"checkpoint {path} entry {name} is unreadable: {exc}") from None
+
         if "__meta__" not in data:
             raise ConfigError("checkpoint lacks its __meta__ entry")
         raw = entry("__meta__")

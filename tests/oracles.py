@@ -27,6 +27,14 @@ def floyd_warshall_distances(n: int, edges) -> np.ndarray:
     return dist
 
 
+def adjacency(graph: Graph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix of a graph's edge list."""
+    a = np.zeros((graph.node_count, graph.node_count))
+    i, j = graph.edges.T
+    a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def indicator_from_distances(dist: np.ndarray, j: int) -> np.ndarray:
     """Dense 0/1 matrix of pairs at distance exactly j."""
     return (dist == j).astype(float)

@@ -1,9 +1,11 @@
 """Command-line interface: commands, outputs, exit codes."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from pathconv import save_tu_dataset
+from pathconv import NumericalError, save_tu_dataset
 from pathconv.cli import main
 
 from conftest import build_toy_dataset
@@ -148,6 +150,27 @@ class TestTrain:
                      "--out", str(tmp_path / "file" / "run")])
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
+
+    def test_dataset_without_node_labels_trains_on_degrees(self, tmp_path, caplog):
+        save_tu_dataset(build_toy_dataset(), tmp_path)
+        (tmp_path / "TOY_node_labels.txt").unlink()
+        with caplog.at_level(logging.INFO, logger="pathconv.cli"):
+            code = main(["-v", "train", "--dataset", "TOY", "--data-dir", str(tmp_path),
+                         "--folds", "3", "--repeats", "1", "--epochs", "1",
+                         "--k", "10", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert "TOY: encoding node degrees as features" in caplog.messages
+
+    def test_numerical_error_exits_3(self, toy_tu_dir, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("non-finite loss in fold 1")
+
+        monkeypatch.setattr("pathconv.cli.run_experiment", fail)
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                     "--folds", "3", "--repeats", "1", "--epochs", "1",
+                     "--k", "10", "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "numerical failure: non-finite loss in fold 1" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),

@@ -24,7 +24,7 @@ from pathconv import (
 )
 
 from conftest import write_tu_files
-from oracles import path_graph, random_graph
+from oracles import adjacency, path_graph, random_graph
 from synthetic import collab_like
 
 
@@ -105,7 +105,7 @@ class TestGraphInvariants:
 
     def test_adjacency_symmetric_zero_diagonal(self):
         g = path_graph(4, target=0)
-        a = g.adjacency()
+        a = adjacency(g)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
 
@@ -127,6 +127,27 @@ class TestGraphInvariants:
         with pytest.raises(DatasetError, match="features must be an"):
             Graph(3, [(0, 1)], features, 0)
 
+    def test_given_arrays_kept_and_made_read_only(self):
+        """Features, and int64 edges already in order, are stored without
+        a copy, so the caller's own arrays become read-only."""
+        edges, features = np.array([[0, 1], [1, 2]]), np.eye(3, dtype=bool)
+        g = Graph(3, edges, features, 0)
+        assert g.edges is edges and g.features is features
+        assert not edges.flags.writeable and not features.flags.writeable
+
+
+class TestDatasetInvariants:
+    def test_rejects_graph_of_another_feature_width(self):
+        graphs = (path_graph(3, target=0, feature_dim=2), path_graph(3, target=1))
+        with pytest.raises(DatasetError, match="all graphs must share the same feature "
+                                               "dimension"):
+            Dataset("MIXED", graphs, 2, 2)
+
+    @pytest.mark.parametrize("target", [2, 5])
+    def test_rejects_target_outside_classes(self, target):
+        with pytest.raises(DatasetError, match=rf"target {target} outside 0\.\.1"):
+            Dataset("WIDE", (path_graph(3, target=target),), 2, 1)
+
 
 class TestLoadTuDataset:
     def test_tiny_fixture(self, tiny_tu_dir):
@@ -146,7 +167,7 @@ class TestLoadTuDataset:
     def test_loaded_graphs_satisfy_invariants(self, tiny_tu_dir):
         ds = load_tu_dataset(tiny_tu_dir, "TINY")
         for g in ds.graphs:
-            a = g.adjacency()
+            a = adjacency(g)
             assert np.array_equal(a, a.T)
             assert np.all(np.diag(a) == 0)
             assert np.array_equal(g.features.sum(axis=1), np.ones(g.node_count))

@@ -342,6 +342,17 @@ class TestAdam:
         with pytest.raises(NumericalError, match="dense1.weight"):
             opt.step([("dense1.weight", np.array([np.nan, 0.0]))])
 
+    def test_gradient_list_of_another_length_rejected(self):
+        opt = Adam([("w", np.zeros(2)), ("b", np.zeros(1))])
+        with pytest.raises(ValueError, match="gradient list does not match parameter list"):
+            opt.step([("w", np.zeros(2))])
+        assert opt.t == 0
+
+    def test_gradient_of_another_name_rejected(self):
+        opt = Adam([("w", np.zeros(2)), ("b", np.zeros(1))])
+        with pytest.raises(ValueError, match="parameter/gradient mismatch: b vs bias"):
+            opt.step([("w", np.zeros(2)), ("bias", np.zeros(1))])
+
     def test_steps_bitwise_equal_textbook_update(self):
         """The in-place moment updates round exactly like the textbook
         formula: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2."""

@@ -12,6 +12,7 @@ from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
 from pathconv.training import NODE_BUDGET, precompute_sp_tensors
 
 from oracles import (
+    adjacency,
     floyd_warshall_distances,
     indicator_from_distances,
     normalized_from_distances,
@@ -47,9 +48,9 @@ def test_r_zero_is_identity_only():
 def test_distance_one_equals_adjacency():
     g = random_graph(np.random.default_rng(1), n=10, edge_prob=0.3)
     sp = compute_sp_tensor(g, r=1)
-    adjacency = g.adjacency()
-    assert np.array_equal(support(sp.mats[1]), adjacency)
-    degree = adjacency.sum(axis=1)
+    a = adjacency(g)
+    assert np.array_equal(support(sp.mats[1]), a)
+    degree = a.sum(axis=1)
     assert np.array_equal(sp.mats[1].data, 1.0 / degree[stored_rows(sp.mats[1])])
 
 
@@ -142,7 +143,7 @@ def test_supports_disjoint_and_cover_a_plus_i():
         total = sum(support(m) for m in sp.mats)
         assert total.max() <= 1.0  # pairwise disjoint supports
         a_tilde = support(sp.mats[0]) + support(sp.mats[1])
-        assert np.array_equal(a_tilde, g.adjacency() + np.eye(g.node_count))
+        assert np.array_equal(a_tilde, adjacency(g) + np.eye(g.node_count))
 
 
 def test_inverse_degrees_exact():
@@ -245,6 +246,12 @@ class TestPropagate:
         sp = compute_sp_tensor(g, r=1)
         with pytest.raises(ValueError):
             propagate(sp, 2, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_transpose_j_out_of_range(self, j):
+        sp = compute_sp_tensor(path_graph(3, target=0), r=1)
+        with pytest.raises(ValueError, match=rf"distance {j} outside 0\.\.1"):
+            propagate_transpose(sp, j, np.zeros((3, 1)))
 
     def test_row_count_mismatch(self):
         g = path_graph(3, target=0)
