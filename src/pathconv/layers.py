@@ -72,7 +72,8 @@ class GraphConv:
         h^T dz and one more the input gradient dz W^T.
         """
         sp, h, w, act = cache
-        dz = np.multiply(act, act)  # in place: fresh arrays this size are slow to get
+        # One array this size, then in place: a second would raise the pass's peak memory.
+        dz = np.multiply(act, act)
         np.subtract(1.0, dz, out=dz)
         dz *= dout
         dz = self._propagate_transpose(sp, dz)
@@ -381,16 +382,19 @@ class Adam:
         self.v = [np.zeros_like(p) for _, p in params]
 
     def step(self, grads: list[tuple[str, np.ndarray]]) -> None:
+        """One update; every gradient is checked before anything changes,
+        so a rejected step leaves parameters, moments and ``t`` as they were."""
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, ((name, p), (gname, g)) in enumerate(zip(self.params, grads)):
+        for (name, _), (gname, g) in zip(self.params, grads):
             if name != gname:
                 raise ValueError(f"parameter/gradient mismatch: {name} vs {gname}")
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient in {name}")
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for i, ((_, p), (_, g)) in enumerate(zip(self.params, grads)):
             m, v = self.m[i], self.v[i]
             m *= self.beta1
             m += (1.0 - self.beta1) * g

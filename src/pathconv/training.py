@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -173,6 +174,34 @@ def single_blas_thread():
         set_(before)
 
 
+# glibc's mallopt parameters (malloc.h).  Setting either one switches off
+# glibc's dynamic mmap threshold, so both are set: blocks up to 32 MiB,
+# the largest mmap threshold glibc accepts on 64-bit, come from the heap,
+# and up to 64 MiB of free memory at its top is kept rather than trimmed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
+
+
+@cache
+def keep_freed_memory() -> bool:
+    """Once per process, tell glibc's allocator to keep the memory a
+    training pass frees, so the next pass reuses its pages instead of
+    faulting on fresh zero pages from the kernel.  True when glibc took
+    both settings; without glibc's ``mallopt`` it does nothing and
+    returns False.
+
+    The settings stay for the rest of the process: ``mallopt`` has no
+    getter, so there is nothing to restore.
+    """
+    mallopt = getattr(_LIBC, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
+
+
 def check_split(dataset: Dataset, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (train, validation, test) index triple as int64 arrays, or
     ConfigError unless each non-empty block holds integers, together they
@@ -201,7 +230,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
 
     ``split`` is the (train, validation, test) index triple that
     :func:`check_split` accepts.  Training runs with one BLAS thread
-    (:func:`single_blas_thread`).
+    (:func:`single_blas_thread`), and the process keeps the memory each
+    pass frees (:func:`keep_freed_memory`).
     """
     check_count("fold_id", fold_id, 0)
     check_count("repeat_id", repeat_id, 0)
@@ -230,6 +260,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     val_losses: list[float] = []
     val_accuracies: list[float] = []
 
+    keep_freed_memory()
     with single_blas_thread():
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(train_idx)

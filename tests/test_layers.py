@@ -353,6 +353,23 @@ class TestAdam:
         with pytest.raises(ValueError, match="parameter/gradient mismatch: b vs bias"):
             opt.step([("w", np.zeros(2)), ("bias", np.zeros(1))])
 
+    @pytest.mark.parametrize("bad", [
+        ("bias", np.zeros(1), ValueError),
+        ("b", np.array([np.nan]), NumericalError),
+    ], ids=["name-mismatch", "nan"])
+    def test_rejected_step_changes_nothing(self, bad):
+        """A bad gradient at entry 1 is caught before entry 0 is updated:
+        parameters, both moments and t stay bitwise as they were."""
+        rng = np.random.default_rng(5)
+        opt = Adam([("w", rng.normal(size=2)), ("b", rng.normal(size=1))], lr=1e-2)
+        opt.step([("w", rng.normal(size=2)), ("b", rng.normal(size=1))])
+        before = [a.tobytes() for a in [p for _, p in opt.params] + opt.m + opt.v]
+        name, grad, error = bad
+        with pytest.raises(error):
+            opt.step([("w", rng.normal(size=2)), (name, grad)])
+        assert [a.tobytes() for a in [p for _, p in opt.params] + opt.m + opt.v] == before
+        assert opt.t == 1
+
     def test_steps_bitwise_equal_textbook_update(self):
         """The in-place moment updates round exactly like the textbook
         formula: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2."""
