@@ -94,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run a nested cross-validation experiment")
     train.add_argument("--dataset", required=True, help="dataset name, e.g. MUTAG")
     train.add_argument("--data-dir", required=True, help="directory with the dataset files")
-    train.add_argument("--mode", choices=MODES, default="parametric")
-    train.add_argument("--r", type=int, default=2, help="maximum propagation distance")
+    train.add_argument("--mode", choices=MODES, default=ModelConfig.mode)
+    train.add_argument("--r", type=int, default=ModelConfig.r, help="maximum propagation distance")
     train.add_argument("--folds", type=int, default=10)
     train.add_argument("--repeats", type=int, default=10)
     train.add_argument("--epochs", type=int, default=ModelConfig.epochs)
-    train.add_argument("--k", type=int_or_auto, default="auto",
+    train.add_argument("--k", type=int_or_auto, default=ModelConfig.sortpool_k,
                        help="sort-pooling size (int or 'auto')")
     train.add_argument("--seed", type=int, default=ModelConfig.seed)
     train.add_argument("--out", required=True, help="output directory for reports")

@@ -113,6 +113,8 @@ class Dataset:
     feature_dim: int
 
     def __post_init__(self):
+        if not self.graphs:
+            raise DatasetError(f"dataset {self.name} has no graphs")
         for g in self.graphs:
             if g.feature_dim != self.feature_dim:
                 raise DatasetError("all graphs must share the same feature dimension")
@@ -200,8 +202,6 @@ def load_tu_dataset(root_path: str | Path, name: str) -> Dataset:
     raw_graph_labels = _read_rows(fpath("graph_labels"), 1)
     total_nodes = indicator.shape[0]
     num_graphs = raw_graph_labels.shape[0]
-    if total_nodes == 0:
-        raise DatasetError(f"{fpath('graph_indicator').name}: no nodes listed")
 
     # Graph ids must be 1..num_graphs, and every graph must own a node.
     graph_of = indicator[:, 0] - 1

@@ -51,18 +51,17 @@ class CheckResult:
 
 
 def central_difference(f, x: np.ndarray, step: float = STEP) -> np.ndarray:
-    """Gradient of scalar ``f`` at ``x`` by central differences."""
+    """Gradient of scalar ``f`` at ``x`` by central differences, each entry
+    stepped in place by index, so ``x`` may be a strided view."""
     grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + step
         f_plus = f()
-        flat[i] = orig - step
+        x[i] = orig - step
         f_minus = f()
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * step)
+        x[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
 
 

@@ -34,7 +34,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 class GraphConv:
     """Graph convolution: output block j is tanh(Q_j h W_j), the blocks
-    side by side, so the output is blocks * c_out columns wide.
+    side by side, so the output is blocks * c_out columns wide.  The
+    filter [W_0 ... W_r] is the one matrix ``weight`` that h is multiplied
+    by; ``parameters()`` names its column block j ``wj``, a view that
+    writes through, and ``gradients()`` does the same for ``grad_weight``.
 
     The product is taken in the cheaper order, Q_j (h W_j): one GEMM
     projects h onto every W_j at once, and the operators act at the c_out
@@ -48,45 +51,43 @@ class GraphConv:
     def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator):
         self.c_in = c_in
         self.c_out = c_out
-        self.weights = [glorot_uniform(rng, c_in, c_out) for _ in range(blocks)]
-        self.grad_weights = [np.zeros_like(w) for w in self.weights]
+        self.weight = np.hstack([glorot_uniform(rng, c_in, c_out) for _ in range(blocks)])
+        self.grad_weight = np.zeros_like(self.weight)
 
     @property
     def out_width(self) -> int:
-        return len(self.weights) * self.c_out
+        return self.weight.shape[1]
 
-    def _block(self, a: np.ndarray, j: int) -> np.ndarray:
-        return a[:, j * self.c_out:(j + 1) * self.c_out]
+    def _blocks(self, a: np.ndarray) -> list[np.ndarray]:
+        """The column blocks of ``a``, one per weight block, as views."""
+        return [a[:, j:j + self.c_out] for j in range(0, a.shape[1], self.c_out)]
 
     def forward(self, sp: SPTensor, h: np.ndarray, out: np.ndarray | None = None):
         """``out``, if given, is the (nodes, out_width) array to write into."""
-        w = np.concatenate(self.weights, axis=1)
-        act = np.tanh(self._propagate(sp, h @ w), out=out)
-        return act, (sp, h, w, act)
+        act = np.tanh(self._propagate(sp, h @ self.weight), out=out)
+        return act, (sp, h, act)
 
     def backward(self, cache, dout: np.ndarray, input_grad: bool = True):
         """Returns the input gradient, or None when ``input_grad`` is off.
 
         The gradient at the projection, dz = Q^T (dout * tanh'), is taken
-        at the c_out width; one GEMM then gives every weight gradient
+        at the c_out width; one GEMM then gives the filter's gradient
         h^T dz and one more the input gradient dz W^T.
         """
-        sp, h, w, act = cache
+        sp, h, act = cache
         # One array this size, then in place: a second would raise the pass's peak memory.
         dz = np.multiply(act, act)
         np.subtract(1.0, dz, out=dz)
         dz *= dout
         dz = self._propagate_transpose(sp, dz)
-        grad = h.T @ dz
-        for j, g in enumerate(self.grad_weights):
-            g += self._block(grad, j)
-        return dz @ w.T if input_grad else None
+        self.grad_weight += h.T @ dz
+        return dz @ self.weight.T if input_grad else None
 
     def parameters(self):
-        return [(f"w{j}", w) for j, w in enumerate(self.weights)]
+        return [(f"w{j}", w) for j, w in enumerate(self._blocks(self.weight))]
 
     def gradients(self):
-        return [(f"w{j}", g) for j, g in enumerate(self.grad_weights)]
+        return [(f"w{j}", g) for j, g in enumerate(self._blocks(self.grad_weight))]
 
 
 class DistanceConv(GraphConv):
@@ -100,14 +101,12 @@ class DistanceConv(GraphConv):
         super().__init__(r + 1, c_in, c_out, rng)
 
     def _propagate(self, sp: SPTensor, z: np.ndarray) -> np.ndarray:
-        for j in range(1, self.r + 1):
-            block = self._block(z, j)
+        for j, block in enumerate(self._blocks(z)[1:], 1):
             block[...] = propagate(sp, j, block)
         return z
 
     def _propagate_transpose(self, sp: SPTensor, g: np.ndarray) -> np.ndarray:
-        for j in range(1, self.r + 1):
-            block = self._block(g, j)
+        for j, block in enumerate(self._blocks(g)[1:], 1):
             block[...] = propagate_transpose(sp, j, block)
         return g
 

@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from pathconv import NumericalError, save_tu_dataset
+from pathconv import ModelConfig, NumericalError, save_tu_dataset
+from pathconv import cli
 from pathconv.cli import main
 
 from conftest import build_toy_dataset
@@ -45,6 +46,22 @@ class TestInspectDataset:
 
 
 class TestTrain:
+    def test_flag_defaults_are_model_config_defaults(self, tmp_path, monkeypatch):
+        """A minimal command builds ``ModelConfig()``: every flag that sets
+        a config field takes its default from the config."""
+        class Built(Exception):
+            pass
+
+        def capture(dataset, config, **kwargs):
+            raise Built(config)
+
+        monkeypatch.setattr(cli, "_load", lambda args: None)
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        with pytest.raises(Built) as built:
+            main(["train", "--dataset", "X", "--data-dir", str(tmp_path),
+                  "--out", str(tmp_path / "run")])
+        assert built.value.args[0] == ModelConfig()
+
     def test_writes_report_files(self, toy_tu_dir, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),

@@ -137,6 +137,17 @@ class TestGraphInvariants:
 
 
 class TestDatasetInvariants:
+    def test_rejects_no_graphs(self):
+        with pytest.raises(DatasetError, match="dataset E has no graphs"):
+            Dataset("E", (), 2, 1)
+
+    @pytest.mark.parametrize("graph_labels, message", [([], "dataset E has no graphs"),
+                                                       ([0], "graph 1 has zero nodes")])
+    def test_files_listing_no_nodes_rejected(self, tmp_path, graph_labels, message):
+        write_tu_files(tmp_path, "E", edges_1based=[], indicator=[], graph_labels=graph_labels)
+        with pytest.raises(DatasetError, match=message):
+            load_tu_dataset(tmp_path, "E")
+
     def test_rejects_graph_of_another_feature_width(self):
         graphs = (path_graph(3, target=0, feature_dim=2), path_graph(3, target=1))
         with pytest.raises(DatasetError, match="all graphs must share the same feature "

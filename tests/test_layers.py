@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathconv import Graph, NumericalError, compute_sp_tensor
-from pathconv.gradcheck import run_all
+from pathconv.gradcheck import central_difference, run_all
 from pathconv.layers import (
     Adam,
     Conv1D,
@@ -40,7 +40,7 @@ class TestDistanceConv:
         g = path_graph(4, target=0)
         sp = compute_sp_tensor(g, r=0)
         layer = DistanceConv(r=0, c_in=2, c_out=2, rng=rng())
-        layer.weights[0] = np.eye(2)
+        dict(layer.parameters())["w0"][...] = np.eye(2)
         out, _ = layer.forward(sp, np.zeros((4, 2)))
         assert np.array_equal(out, np.zeros((4, 2)))
         h = rng().normal(size=(4, 2))
@@ -52,8 +52,8 @@ class TestDistanceConv:
         g = path_graph(3, target=0)
         sp = compute_sp_tensor(g, r=1)
         layer = DistanceConv(r=1, c_in=1, c_out=1, rng=rng())
-        layer.weights[0] = np.array([[1.0]])
-        layer.weights[1] = np.array([[1.0]])
+        for _, w in layer.parameters():
+            w[...] = np.array([[1.0]])
         out, _ = layer.forward(sp, np.array([[1.0], [2.0], [3.0]]))
         expected = np.array([
             [math.tanh(1.0), math.tanh(2.0)],
@@ -85,7 +85,7 @@ class TestJointConv:
         g = Graph(1, frozenset(), np.ones((1, 1)), 0)
         sp = compute_sp_tensor(g, r=1)
         layer = JointConv(c_in=1, c_out=1, rng=rng())
-        layer.weights[0] = np.array([[1.0]])
+        dict(layer.parameters())["w0"][...] = np.array([[1.0]])
         for x in (0.3, -1.2, 5.0):
             out, _ = layer.forward(sp, np.array([[x]]))
             assert out[0, 0] == pytest.approx(math.tanh(x), abs=1e-15)
@@ -94,7 +94,7 @@ class TestJointConv:
         g = path_graph(3, target=0)
         sp = compute_sp_tensor(g, r=1)
         layer = JointConv(c_in=1, c_out=1, rng=rng())
-        layer.weights[0] = np.array([[1.0]])
+        dict(layer.parameters())["w0"][...] = np.array([[1.0]])
         out, _ = layer.forward(sp, np.array([[1.0], [2.0], [3.0]]))
         expected = np.array([[math.tanh(1.5)], [math.tanh(2.0)], [math.tanh(2.5)]])
         assert np.allclose(out, expected, rtol=0, atol=1e-15)
@@ -136,9 +136,10 @@ class TestGraphConvReference:
             dout = gen.normal(size=(sp.node_count, layer.out_width))
             out, cache = layer.forward(sp, h)
             dh = layer.backward(cache, dout)
-            ref_out, ref_grads, ref_dh = distance_conv_reference(dist, h, layer.weights, dout)
+            weights = [w for _, w in layer.parameters()]
+            ref_out, ref_grads, ref_dh = distance_conv_reference(dist, h, weights, dout)
             assert_close(out, ref_out)
-            for g, ref in zip(layer.grad_weights, ref_grads):
+            for (_, g), ref in zip(layer.gradients(), ref_grads):
                 assert_close(g, ref)
             assert_close(dh, ref_dh)
 
@@ -152,9 +153,10 @@ class TestGraphConvReference:
             dout = gen.normal(size=(sp.node_count, 4))
             out, cache = layer.forward(sp, h)
             dh = layer.backward(cache, dout)
-            ref_out, ref_grad, ref_dh = joint_conv_reference(dist, h, layer.weights[0], dout)
+            weight = dict(layer.parameters())["w0"]
+            ref_out, ref_grad, ref_dh = joint_conv_reference(dist, h, weight, dout)
             assert_close(out, ref_out)
-            assert_close(layer.grad_weights[0], ref_grad)
+            assert_close(dict(layer.gradients())["w0"], ref_grad)
             assert_close(dh, ref_dh)
 
 
@@ -429,6 +431,18 @@ GRADIENT_CHECKS = [
 def test_finite_difference_suite_names_every_check():
     """A refactor of the suite cannot drop, rename or reorder a check."""
     assert [result.name for result in run_all()] == GRADIENT_CHECKS
+
+
+def test_central_difference_steps_a_strided_view_in_place():
+    """A column block of a wider array, as a graph convolution's ``wj``
+    is, must be stepped where it lives: the objective reads the whole."""
+    whole = np.random.default_rng(7).normal(size=(3, 6))
+    before = whole.copy()
+    scale = np.arange(1.0, 7.0).reshape(3, 2)
+    grad = central_difference(lambda: float((whole[:, 2:4] ** 2 * scale).sum()),
+                              whole[:, 2:4])
+    assert np.allclose(grad, 2 * whole[:, 2:4] * scale, rtol=0, atol=1e-6)
+    assert np.array_equal(whole, before)
 
 
 def test_dense_and_relu_chain_matches_manual():

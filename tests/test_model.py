@@ -283,6 +283,54 @@ def test_training_pass_peak_memory_per_node(tmp_path):
     assert peak <= 6000 * g.node_count, f"{peak / g.node_count:.0f} bytes per node"
 
 
+class TestFilterViews:
+    """Each graph convolution stores its filter [W_0 ... W_r] as one
+    matrix; the ``gconvI.wJ`` parameters are its column blocks, so every
+    writer of parameters changes ``weight`` through them."""
+
+    @staticmethod
+    def blocks(pairs, i):
+        return [a for name, a in pairs if name.startswith(f"gconv{i}.")]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_parameters_are_views_of_the_filter(self, mode):
+        model = build(mode=mode)
+        for i, conv in enumerate(model.graph_convs):
+            params = self.blocks(model.parameters(), i)
+            assert np.array_equal(np.hstack(params), conv.weight)
+            assert all(np.shares_memory(p, conv.weight) for p in params)
+            assert all(np.shares_memory(g, conv.grad_weight)
+                       for g in self.blocks(model.gradients(), i))
+
+    def test_adam_step_changes_the_filter(self):
+        model = build()
+        before = [conv.weight.copy() for conv in model.graph_convs]
+        for _, g in model.gradients():
+            g[...] = 1.0
+        model.make_optimizer().step(model.gradients())
+        # Adam's first step moves every entry by the learning rate.
+        for conv, w in zip(model.graph_convs, before):
+            assert np.allclose(conv.weight, w - model.config.learning_rate, rtol=0, atol=1e-10)
+
+    def test_set_state_changes_the_filter(self):
+        model = build()
+        before = [conv.weight.copy() for conv in model.graph_convs]
+        model.set_state([s + 1.0 for s in model.get_state()])
+        for conv, w in zip(model.graph_convs, before):
+            assert np.array_equal(conv.weight, w + 1.0)
+
+    def test_load_checkpoint_changes_the_filter(self, tmp_path):
+        model = build()
+        for conv in model.graph_convs:
+            conv.weight += 1.0
+        save_checkpoint(model, tmp_path / "model.npz")
+        loaded = load_checkpoint(tmp_path / "model.npz")
+        for conv, fresh, saved in zip(loaded.graph_convs, build().graph_convs,
+                                      model.graph_convs):
+            assert np.array_equal(conv.weight, saved.weight)
+            assert not np.array_equal(conv.weight, fresh.weight)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = build(seed=9)
