@@ -17,7 +17,6 @@ never changes after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -58,21 +57,47 @@ class SPTensor:
         return np.cumsum((0,) + self.graph_sizes)
 
 
+# Most stored entries of the block-diagonal A + I that :func:`sp_tensors`
+# multiplies by in one run of graphs; a graph that holds more forms a run
+# of its own.  What a run's products hold grows with these entries, so the
+# bound caps the product memory on dense graphs while sparse graphs share
+# few, large runs.
+RUN_ENTRIES = 2**15
+
+
 def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
     """The operators P_0..P_r of each graph in ``graphs``, built together.
+
+    The graphs are taken in order, in runs that hold at most RUN_ENTRIES
+    stored entries of A + I, and each run is built by :func:`_run_tensors`.
+    """
+    check_count("r", r, 0)
+    ends = np.cumsum([0] + [g.node_count + 2 * len(g.edges) for g in graphs])
+    tensors = []
+    start = 0
+    while start < len(graphs):
+        stop = max(int(np.searchsorted(ends, ends[start] + RUN_ENTRIES, "right")) - 1, start + 1)
+        tensors += _run_tensors(graphs[start:stop], r)
+        start = stop
+    return tensors
+
+
+def _run_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
+    """The operators of one run of graphs.
 
     Ring j, the pairs at distance exactly j, holds what the product of
     ring j - 1 with the graphs' block-diagonal A + I reaches and no earlier
     ring holds.  The products are boolean, so no count of paths can wrap
-    to zero.  Each ring is cut back into per-graph CSR arrays with sorted
-    int32 indices.
+    to zero.  Each ring is cut into per-graph CSR arrays with sorted int32
+    indices by array operations over the whole run: one subtraction makes
+    the column indices local, and every graph's ``indptr`` is a slice of
+    one array, so per graph and distance only slicing and the
+    ``csr_matrix`` call remain.
     """
-    check_count("r", r, 0)
-    sizes = [g.node_count for g in graphs]
-    offsets = list(accumulate(sizes, initial=0))
-    n = offsets[-1]
-    edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, offsets)]
-                           or [np.empty((0, 2), np.int64)])
+    sizes = np.array([g.node_count for g in graphs])
+    offsets = np.cumsum(np.r_[0, sizes])
+    n = int(offsets[-1])
+    edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, offsets.tolist())])
     loops = np.arange(n)
     rows, cols = np.concatenate((edges, edges[:, ::-1], np.c_[loops, loops])).T
     step = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
@@ -84,17 +109,24 @@ def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
         ring = ring > reach
         reach = reach + ring
         rings.append(ring)
-    counts = [np.diff(ring.indptr) for ring in rings]
-    values = [1.0 / np.repeat(c, c) for c in counts]
+    # Graph g's indptr is ptr[offsets[g] + g : offsets[g + 1] + g + 1]: the
+    # pointers of its rows and the next, less the pointer of its first row.
+    ptr_rows = np.arange(n + len(graphs)) - np.repeat(np.arange(len(graphs)), sizes + 1)
+    ptr_starts = (offsets + np.arange(len(graphs) + 1)).tolist()
+    cuts = []
+    for ring in rings:
+        counts = np.diff(ring.indptr)
+        bounds = ring.indptr[offsets]
+        indices = ring.indices - np.repeat(offsets[:-1].astype(ring.indices.dtype), np.diff(bounds))
+        ptr = ring.indptr[ptr_rows] - np.repeat(bounds[:-1], sizes + 1)
+        cuts.append((1.0 / np.repeat(counts, counts), indices, ptr, bounds.tolist()))
     tensors = []
-    for size, lo, hi in zip(sizes, offsets, offsets[1:]):
-        mats = []
-        for ring, data in zip(rings, values):
-            start, stop = ring.indptr[lo], ring.indptr[hi]
-            mats.append(sparse.csr_matrix(
-                (data[start:stop], ring.indices[start:stop] - lo, ring.indptr[lo:hi + 1] - start),
-                shape=(size, size)))
-        tensors.append(SPTensor(mats=tuple(mats), graph_sizes=(size,)))
+    for g, size in enumerate(sizes.tolist()):
+        a, b = ptr_starts[g], ptr_starts[g + 1]
+        mats = tuple(sparse.csr_matrix((data[lo[g]:lo[g + 1]], indices[lo[g]:lo[g + 1]], ptr[a:b]),
+                                       shape=(size, size))
+                     for data, indices, ptr, lo in cuts)
+        tensors.append(SPTensor(mats=mats, graph_sizes=(size,)))
     return tensors
 
 

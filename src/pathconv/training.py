@@ -76,10 +76,10 @@ class ExperimentReport:
 
 def precompute_sp_tensors(dataset: Dataset, r: int) -> list[SPTensor]:
     """One shortest-path tensor per graph; r is fixed per experiment.
-    Built one ``sub_batches`` run at a time: a product over the whole
-    dataset leaves more memory resident, which forked pool workers inherit."""
-    runs = sub_batches(dataset, np.arange(len(dataset)))
-    return [sp for run in runs for sp in sp_tensors([dataset.graphs[i] for i in run], r)]
+    ``sp_tensors`` builds them in runs bounded by what their products hold,
+    not by NODE_BUDGET: a product over the whole dataset would leave more
+    memory resident, which forked pool workers inherit."""
+    return sp_tensors(list(dataset.graphs), r)
 
 
 def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:

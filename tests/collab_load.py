@@ -1,10 +1,14 @@
-"""Time ``load_tu_dataset`` on a COLLAB-shaped set and report its peak memory.
+"""Time loading and precomputing a COLLAB-shaped set and report its peak memory.
 
 Writes ``synthetic.collab_like(0, graphs)`` to a temporary directory
 without a node-label file, as COLLAB ships, then loads it in ``--loads``
-fresh processes, each printing its load seconds and its peak resident
-set size (``ru_maxrss``).  At the default 5000 graphs the edge file has
-about 25.4M lines (366 MB), and writing it takes about 11 s and 0.3 GB.
+fresh processes.  Each prints its load seconds and its peak resident
+set size (``ru_maxrss``), then runs ``precompute_sp_tensors`` at r = 2
+on the loaded set and prints that step's seconds and the peak resident
+set size after it; that peak is the process's, so it reads as the
+load's when the load peaked higher.  At the default 5000 graphs the
+edge file has about 25.4M lines (366 MB), and writing it takes about
+11 s and 0.3 GB.
 The directory is deleted on exit; ``--keep DIR`` keeps the set in DIR
 instead, and reuses a set already there.  Run from the repository root:
 
@@ -31,12 +35,17 @@ from pathconv import save_tu_dataset  # noqa: E402
 
 LOAD = """\
 import resource, sys, time
-from pathconv import load_tu_dataset
+from pathconv import load_tu_dataset, precompute_sp_tensors
 start = time.perf_counter()
 dataset = load_tu_dataset(sys.argv[1], "COLLAB")
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs")
+print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs", flush=True)
+start = time.perf_counter()
+precompute_sp_tensors(dataset, 2)
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"precompute at r = 2 {seconds:.2f} s, ru_maxrss {peak:.0f} MB")
 """
 
 

@@ -1,15 +1,17 @@
 """Distance-operator construction checked against a Floyd-Warshall oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pathconv import Dataset, Graph, compute_sp_tensor, propagate
+from pathconv import Dataset, Graph, compute_sp_tensor, propagate, shortest_paths
 from pathconv.layers import DistanceConv, JointConv
 from pathconv.shortest_paths import batch_sp_tensors, propagate_transpose
-from pathconv.training import NODE_BUDGET, precompute_sp_tensors
+from pathconv.training import precompute_sp_tensors
 
 from oracles import (
     adjacency,
@@ -19,6 +21,7 @@ from oracles import (
     path_graph,
     random_graph,
 )
+from synthetic import collab_like
 
 
 def support(m) -> np.ndarray:
@@ -75,6 +78,11 @@ def test_agrees_with_floyd_warshall_on_random_graphs():
             assert np.array_equal(sp.mats[j].toarray(), expected), (n, r, j)
 
 
+# Run bound for the precompute tests: small enough that a drawn dataset
+# spans several runs, some of several graphs.
+RUN = 256
+
+
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(st.data())
 def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
@@ -82,8 +90,8 @@ def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
     gives every graph the arrays of ``compute_sp_tensor`` bit for bit and
     dtype for dtype, with canonical indices, equal to the Floyd-Warshall
     operators.  The datasets hold single-node, edgeless and disconnected
-    graphs, and one graph larger than NODE_BUDGET, which forms a run of
-    its own."""
+    graphs, and one graph over the run bound, which forms a run of its
+    own; with the bound lowered to RUN they span several runs."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sizes = data.draw(st.lists(st.integers(1, 30), max_size=25))
     graphs = [random_graph(rng, n, edge_prob=data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.9))))
@@ -94,24 +102,52 @@ def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
         Graph(6, [], np.ones((6, 3)), 0),
         Graph(12, np.concatenate([left.edges, right.edges + 5]),
               np.concatenate([left.features, right.features]), 0),
-        random_graph(rng, NODE_BUDGET + data.draw(st.integers(1, 40)), edge_prob=0.01),
+        random_graph(rng, RUN + data.draw(st.integers(1, 40)), edge_prob=0.01),
     ]
     graphs = data.draw(st.permutations(graphs))
     dataset = Dataset("mixed", tuple(graphs), num_classes=1, feature_dim=3)
     dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
-    for r in range(4):
-        sps = precompute_sp_tensors(dataset, r)
-        assert len(sps) == len(graphs)
-        for g, dist, sp in zip(graphs, dists, sps):
-            assert sp.r == r and sp.graph_sizes == (g.node_count,)
-            for j, (m, ref) in enumerate(zip(sp.mats, compute_sp_tensor(g, r).mats, strict=True)):
-                for name, dtype in (("indptr", np.int32), ("indices", np.int32),
-                                    ("data", np.float64)):
-                    got, want = getattr(m, name), getattr(ref, name)
-                    assert got.dtype == want.dtype == dtype, (name, j)
-                    assert got.tobytes() == want.tobytes(), (name, j)
-                assert m.has_canonical_format
-                assert np.array_equal(m.toarray(), normalized_from_distances(dist, j)), (r, j)
+    run_tensors, runs = shortest_paths._run_tensors, []
+
+    def recording(run, r):
+        runs.append(run)
+        return run_tensors(run, r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shortest_paths, "RUN_ENTRIES", RUN)
+        patch.setattr(shortest_paths, "_run_tensors", recording)
+        for r in range(4):
+            runs.clear()
+            sps = precompute_sp_tensors(dataset, r)
+            assert len(runs) > 1
+            assert len(sps) == len(graphs)
+            for g, dist, sp in zip(graphs, dists, sps):
+                assert sp.r == r and sp.graph_sizes == (g.node_count,)
+                for j, (m, ref) in enumerate(zip(sp.mats, compute_sp_tensor(g, r).mats,
+                                                 strict=True)):
+                    for name, dtype in (("indptr", np.int32), ("indices", np.int32),
+                                        ("data", np.float64)):
+                        got, want = getattr(m, name), getattr(ref, name)
+                        assert got.dtype == want.dtype == dtype, (name, j)
+                        assert got.tobytes() == want.tobytes(), (name, j)
+                    assert m.has_canonical_format
+                    assert np.array_equal(m.toarray(), normalized_from_distances(dist, j)), (r, j)
+
+
+def test_precompute_peak_memory_per_operator_entry():
+    """On dense COLLAB-shaped ego networks at r = 2, the traced peak of
+    ``precompute_sp_tensors`` stays within 24 bytes per stored operator
+    entry; the operators alone take 12 (float64 data, int32 indices).
+    One product over the whole set peaks at about 55."""
+    dataset = collab_like(0, graphs=300)
+    tracemalloc.start()
+    try:
+        sps = precompute_sp_tensors(dataset, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = sum(m.nnz for sp in sps for m in sp.mats)
+    assert peak <= 24 * entries, f"{peak / entries:.1f} bytes per entry"
 
 
 def test_pair_with_many_shortest_paths_found():
