@@ -24,9 +24,6 @@ from .errors import ConfigError, DatasetError, check_count
 
 log = logging.getLogger(__name__)
 
-# Undirected edges per run that save_tu_dataset sorts and writes at once.
-SAVE_RUN_EDGES = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -294,9 +291,10 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     Each undirected edge is emitted in both directions with 1-based global
     node ids; node labels are written as the one-hot column index of each
     feature row, so a load/save/load cycle reproduces adjacency, features
-    and targets exactly.  A feature row that is not one-hot (one entry 1,
-    the rest 0) has no such index and raises DatasetError naming the
-    graph and the row, both 0-based.
+    and targets exactly.  The edge file is written graph by graph, so only
+    one graph's lines are held at a time.  A feature row that is not
+    one-hot (one entry 1, the rest 0) has no such index and raises
+    DatasetError naming the graph and the row, both 0-based.
     """
     graphs = dataset.graphs
     # Every node label before any file is written: a bad row leaves none.
@@ -325,17 +323,11 @@ def save_tu_dataset(dataset: Dataset, root_path: str | Path) -> None:
     write("graph_indicator", np.repeat(np.arange(1, len(graphs) + 1), sizes))
     write("graph_labels", [g.target for g in graphs])
     write("node_labels", np.concatenate(node_labels))
-    # The edge lines go out one run of about SAVE_RUN_EDGES edges at a
-    # time.  Node ids ascend graph by graph, so the runs' sorted lines,
-    # written in order, are the whole file's lines sorted.
-    _, firsts = np.unique(np.cumsum([len(g.edges) for g in graphs]) // SAVE_RUN_EDGES,
-                          return_index=True)
-    bounds = [*firsts, len(graphs)]
+    # Node ids ascend graph by graph, so each graph's sorted directed
+    # lines, written in turn, are the whole file's lines sorted.
     with open(base / f"{dataset.name}_A.txt", "w") as fh:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            edges = np.concatenate([g.edges + first
-                                    for g, first in zip(graphs[lo:hi], first_ids[lo:hi])])
-            directed = np.concatenate([edges, edges[:, ::-1]])
+        for g, first in zip(graphs, first_ids.tolist()):
+            directed = np.concatenate([g.edges, g.edges[:, ::-1]]) + first
             fh.write(lines(directed[np.lexsort(directed.T[::-1])]))
 
 

@@ -186,10 +186,9 @@ class Model:
         (nodes, concat_width) array; returns that array and the caches.
         The feature rows ``h`` reach the first convolution as stored: its
         GEMMs widen bool and int rows to float64 themselves."""
-        if h.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"feature dimension {h.shape[1]} does not match model ({self.feature_dim})"
-            )
+        if h.shape != (sp.node_count, self.feature_dim):
+            raise ValueError(f"feature shape {h.shape} does not match (nodes, feature "
+                             f"dimension) = ({sp.node_count}, {self.feature_dim})")
         hcat = np.empty((sp.node_count, self.concat_width))
         caches = []
         for conv, (lo, hi) in zip(self.graph_convs, self._conv_columns):

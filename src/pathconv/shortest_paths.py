@@ -65,21 +65,29 @@ class SPTensor:
 RUN_ENTRIES = 2**15
 
 
+def cut_runs(weights: list[int], budget: int) -> list[slice]:
+    """Consecutive runs covering ``weights`` in order, each the longest
+    from its start whose weights sum to at most ``budget``; an item over
+    the budget forms a run of its own.  No items give no runs."""
+    starts, total = [], float("inf")
+    for pos, weight in enumerate(weights):
+        if total + weight > budget:
+            starts.append(pos)
+            total = 0
+        total += weight
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(weights)])]
+
+
 def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
     """The operators P_0..P_r of each graph in ``graphs``, built together.
 
-    The graphs are taken in order, in runs that hold at most RUN_ENTRIES
-    stored entries of A + I, and each run is built by :func:`_run_tensors`.
+    The graphs are taken in order, in the runs that :func:`cut_runs` cuts
+    at RUN_ENTRIES stored entries of A + I, and each run is built by
+    :func:`_run_tensors`.
     """
     check_count("r", r, 0)
-    ends = np.cumsum([0] + [g.node_count + 2 * len(g.edges) for g in graphs])
-    tensors = []
-    start = 0
-    while start < len(graphs):
-        stop = max(int(np.searchsorted(ends, ends[start] + RUN_ENTRIES, "right")) - 1, start + 1)
-        tensors += _run_tensors(graphs[start:stop], r)
-        start = stop
-    return tensors
+    runs = cut_runs([g.node_count + 2 * len(g.edges) for g in graphs], RUN_ENTRIES)
+    return [sp for run in runs for sp in _run_tensors(graphs[run], r)]
 
 
 def _run_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:

@@ -31,7 +31,7 @@ from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError, check_count
 from .layers import softmax_cross_entropy
 from .model import Model, ModelConfig, distance_cutoff, resolve_sortpool_k
-from .shortest_paths import SPTensor, batch_sp_tensors, sp_tensors
+from .shortest_paths import SPTensor, batch_sp_tensors, cut_runs, sp_tensors
 from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py wraps it by name
 
 log = logging.getLogger(__name__)
@@ -83,18 +83,10 @@ def precompute_sp_tensors(dataset: Dataset, r: int) -> list[SPTensor]:
 
 
 def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:
-    """``indices`` cut, in order, into runs of at most NODE_BUDGET nodes;
-    a graph larger than the budget forms a run of its own."""
-    runs = []
-    start = total = 0
-    for pos, gi in enumerate(indices):
-        nodes = dataset.graphs[gi].node_count
-        if total + nodes > NODE_BUDGET and pos > start:
-            runs.append(indices[start:pos])
-            start, total = pos, 0
-        total += nodes
-    runs.append(indices[start:])
-    return runs
+    """``indices`` cut by :func:`cut_runs` into runs of at most NODE_BUDGET
+    nodes, in order; a graph larger than the budget forms a run of its own."""
+    runs = cut_runs([dataset.graphs[i].node_count for i in indices], NODE_BUDGET)
+    return [indices[run] for run in runs]
 
 
 def _stack(dataset: Dataset, sps, indices):
@@ -204,10 +196,15 @@ def keep_freed_memory() -> bool:
 
 def check_split(dataset: Dataset, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (train, validation, test) index triple as int64 arrays, or
-    ConfigError unless each non-empty block holds integers, together they
-    are a permutation of 0..n-1, the validation and test blocks are
-    non-empty and training holds every class."""
-    blocks = [np.asarray(s) for s in split]
+    ConfigError unless it is three 1-D blocks, each non-empty one holds
+    integers, together they are a permutation of 0..n-1, the validation
+    and test blocks are non-empty and training holds every class."""
+    try:
+        blocks = [np.asarray(s) for s in split]
+    except (TypeError, ValueError):  # not iterable, or a ragged block
+        blocks = []
+    if len(blocks) != 3 or any(block.ndim != 1 for block in blocks):
+        raise ConfigError("a split is three 1-D integer blocks (train, validation, test)")
     for block in blocks:
         if block.size and block.dtype.kind not in "iu":  # a cast would pick other graphs
             raise ConfigError(f"split indices must be integers, got {block.dtype}")

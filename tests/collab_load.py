@@ -1,14 +1,15 @@
 """Time loading and precomputing a COLLAB-shaped set and report its peak memory.
 
 Writes ``synthetic.collab_like(0, graphs)`` to a temporary directory
-without a node-label file, as COLLAB ships, then loads it in ``--loads``
-fresh processes.  Each prints its load seconds and its peak resident
-set size (``ru_maxrss``), then runs ``precompute_sp_tensors`` at r = 2
-on the loaded set and prints that step's seconds and the peak resident
-set size after it; that peak is the process's, so it reads as the
-load's when the load peaked higher.  At the default 5000 graphs the
-edge file has about 25.4M lines (366 MB), and writing it takes about
-11 s and 0.3 GB.
+without a node-label file, as COLLAB ships, and prints the write's
+``tracemalloc`` peak.  Then it loads the set in ``--loads`` fresh
+processes.  Each prints its load seconds and its peak resident set size
+(``ru_maxrss``), then runs ``precompute_sp_tensors`` at r = 2 on the
+loaded set and prints that step's seconds, untraced, and the
+``tracemalloc`` peak of a second, traced call: the process's
+``ru_maxrss`` after precompute would read as the load's wherever the
+load peaked higher.  At the default 5000 graphs the edge file has about
+25.4M lines (366 MB).
 The directory is deleted on exit; ``--keep DIR`` keeps the set in DIR
 instead, and reuses a set already there.  Run from the repository root:
 
@@ -22,31 +23,48 @@ same files.
 from __future__ import annotations
 
 import argparse
+import resource
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
 
 from synthetic import collab_like  # noqa: E402
 
-from pathconv import save_tu_dataset  # noqa: E402
+from pathconv import load_tu_dataset, precompute_sp_tensors, save_tu_dataset  # noqa: E402
 
-LOAD = """\
-import resource, sys, time
-from pathconv import load_tu_dataset, precompute_sp_tensors
-start = time.perf_counter()
-dataset = load_tu_dataset(sys.argv[1], "COLLAB")
-seconds = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs", flush=True)
-start = time.perf_counter()
-precompute_sp_tensors(dataset, 2)
-seconds = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(f"precompute at r = 2 {seconds:.2f} s, ru_maxrss {peak:.0f} MB")
-"""
+
+def traced_peak(step, *args) -> float:
+    """The ``tracemalloc`` peak, in MB, of one call of ``step(*args)``."""
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def load(root: str) -> None:
+    """Load the set in ``root``, then precompute at r = 2; print both."""
+    start = time.perf_counter()
+    dataset = load_tu_dataset(root, "COLLAB")
+    seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs", flush=True)
+    start = time.perf_counter()
+    precompute_sp_tensors(dataset, 2)
+    seconds = time.perf_counter() - start
+    peak = traced_peak(precompute_sp_tensors, dataset, 2)
+    print(f"precompute at r = 2 {seconds:.2f} s, traced peak {peak:.0f} MB", flush=True)
+
+
+# A loading process imports this file from its directory and calls load.
+LOAD = "import sys; sys.path.insert(0, sys.argv[1]); import collab_load; collab_load.load(sys.argv[2])"
 
 
 def main() -> None:
@@ -58,12 +76,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = args.keep or Path(tmp)
         if not (root / "COLLAB_A.txt").exists():
-            save_tu_dataset(collab_like(0, args.graphs), root)
+            peak = traced_peak(save_tu_dataset, collab_like(0, args.graphs), root)
             (root / "COLLAB_node_labels.txt").unlink()
+            print(f"write traced peak {peak:.0f} MB", flush=True)
         with (root / "COLLAB_A.txt").open() as fh:
             print(f"{sum(1 for _ in fh)} edge lines in {root}", flush=True)
         for _ in range(args.loads):
-            subprocess.run([sys.executable, "-c", LOAD, str(root)], check=True)
+            subprocess.run([sys.executable, "-c", LOAD, str(HERE), str(root)], check=True)
 
 
 if __name__ == "__main__":

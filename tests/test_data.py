@@ -376,14 +376,15 @@ class TestRoundTrip:
             assert np.array_equal(a.features, b.features)
             assert a.target == b.target
 
-    @pytest.mark.parametrize("run_edges", [1, 7, 1 << 16])
-    def test_edge_file_is_every_directed_line_sorted(self, tmp_path, monkeypatch, run_edges):
-        """Written one run of graphs at a time, the edge file holds the
-        same bytes as all the dataset's directed lines sorted at once."""
-        monkeypatch.setattr("pathconv.data.SAVE_RUN_EDGES", run_edges)
+    @pytest.mark.parametrize("sizes, edge_prob", [([4, 1, 6], 0.0), ([9], 0.4),
+                                                  ([5, 1, 8, 3, 12, 2, 9], 0.4)],
+                             ids=["edgeless", "one_graph", "seven_graphs"])
+    def test_edge_file_is_every_directed_line_sorted(self, tmp_path, sizes, edge_prob):
+        """Written graph by graph, the edge file holds the same bytes as all
+        the dataset's directed lines sorted at once."""
         rng = np.random.default_rng(4)
-        graphs = tuple(random_graph(rng, n, 0.4, target=i % 2)
-                       for i, n in enumerate([5, 1, 8, 3, 12, 2, 9]))
+        graphs = tuple(random_graph(rng, n, edge_prob, target=i % 2)
+                       for i, n in enumerate(sizes))
         save_tu_dataset(Dataset("MULTI", graphs, num_classes=2, feature_dim=3), tmp_path)
         pairs, first = [], 1
         for g in graphs:
@@ -526,6 +527,21 @@ def test_load_peak_memory_per_edge_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per edge line"
+
+
+def test_save_peak_memory_per_edge_of_largest_graph(tmp_path):
+    """On COLLAB-shaped ego networks, the writer's traced peak stays within
+    400 bytes per edge of the largest graph, since it holds one graph's
+    lines at a time; writing runs of many graphs at once read over 1000."""
+    dataset = collab_like(0, graphs=100)
+    tracemalloc.start()
+    try:
+        save_tu_dataset(dataset, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = max(len(g.edges) for g in dataset.graphs)
+    assert peak <= 400 * edges, f"{peak / edges:.0f} bytes per edge"
 
 
 def _saved_files() -> dict[str, bytes]:

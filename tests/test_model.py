@@ -86,6 +86,16 @@ class TestForward:
         with pytest.raises(ValueError, match="feature dimension"):
             model_forward(g, sp, model)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3,), (6, 3, 1), (7, 3)])
+    def test_feature_rows_not_one_per_node_rejected(self, shape):
+        """At r = 0 no operator product meets the rows, so one row would
+        broadcast over all six nodes; a 1-D input has no width."""
+        model = build(r=0)
+        sp = compute_sp_tensor(path_graph(6, target=0), 0)
+        with pytest.raises(ValueError, match=r"feature shape .* does not match "
+                                             r"\(nodes, feature dimension\) = \(6, 3\)"):
+            model.forward(sp, np.ones(shape))
+
     def test_sp_tensor_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, n=6, edge_prob=0.4)

@@ -78,6 +78,26 @@ def test_agrees_with_floyd_warshall_on_random_graphs():
             assert np.array_equal(sp.mats[j].toarray(), expected), (n, r, j)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(0, 60))
+def test_cut_runs_cover_in_order_each_run_maximal(weights, budget):
+    """The runs cover the items in order, each within the budget or of one
+    item, and each ends only where the next item would pass the budget."""
+    runs = shortest_paths.cut_runs(weights, budget)
+    items = range(len(weights))
+    assert [i for run in runs for i in items[run]] == list(items)
+    for run in runs:
+        total = sum(weights[run])
+        assert run.start < run.stop and (run.stop - run.start == 1 or total <= budget)
+        if run.stop < len(weights):
+            assert total + weights[run.stop] > budget
+
+
+def test_no_graphs_give_no_runs():
+    assert shortest_paths.cut_runs([], 1) == []
+    assert shortest_paths.sp_tensors([], 2) == []
+
+
 # Run bound for the precompute tests: small enough that a drawn dataset
 # spans several runs, some of several graphs.
 RUN = 256

@@ -201,6 +201,19 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="split indices must be integers"):
             training.check_split(toy_dataset, split)
 
+    @pytest.mark.parametrize("shape", ["two_blocks", "four_blocks", "2d_block", "scalar_block",
+                                       "ragged_block", "not_iterable"])
+    def test_split_not_three_1d_blocks_rejected(self, toy_dataset, shape):
+        train, val, test = toy_splits(toy_dataset)[0]
+        split = {"two_blocks": (train, np.concatenate([val, test])),
+                 "four_blocks": (train, val, test[:1], test[1:]),
+                 "2d_block": (train, val, test.reshape(1, -1)),
+                 "scalar_block": (train, val, 5),
+                 "ragged_block": (train, val, [[0, 1], [2]]),
+                 "not_iterable": 7}[shape]
+        with pytest.raises(ConfigError, match=r"a split is three 1-D integer blocks"):
+            training.check_split(toy_dataset, split)
+
     def test_empty_test_block_rejected(self, toy_dataset):
         train, val, test = toy_splits(toy_dataset)[0]
         split = (np.concatenate([train, test]), val, [])
