@@ -37,7 +37,7 @@ from .layers import (
     softmax,
     softmax_cross_entropy,
 )
-from .shortest_paths import SPTensor
+from .shortest_paths import SPTensor, check_fit
 
 MODES = ("parametric", "dgcnn_baseline")
 
@@ -289,9 +289,9 @@ class Model:
 
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:
-    """Class probabilities for one graph, dropout off."""
-    if sp.graph_sizes != (graph.node_count,):
-        raise ValueError("shortest-path tensor does not match the graph")
+    """Class probabilities for one graph, dropout off; ConfigError unless
+    ``sp`` passes :func:`check_fit` for the graph at the model's cutoff."""
+    check_fit([sp], [graph], distance_cutoff(model.config))
     probs, _ = model.forward(sp, graph.features)
     return probs[0]
 
@@ -352,6 +352,9 @@ def load_checkpoint(path) -> Model:
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
         model = Model(ModelConfig(**meta["config"]), meta["feature_dim"], meta["num_classes"])
+        unknown = sorted(set(data.files) - {"__meta__"} - {name for name, _ in model.parameters()})
+        if unknown:
+            raise ConfigError(f"checkpoint has arrays the model lacks: {', '.join(unknown)}")
         for name, p in model.parameters():
             if name not in data:
                 raise ConfigError(f"checkpoint lacks parameter {name}")

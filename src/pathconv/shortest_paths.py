@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import Graph
-from .errors import check_count
+from .errors import ConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class SPTensor:
     tensor after construction; :func:`propagate_transpose` builds each
     P_j^T at each call.
 
-    ``graph_sizes`` lists the node counts of the graphs it describes, in
-    row order: one for a single graph, several for a tensor from
-    :func:`batch_sp_tensors`, which joins graphs into one disconnected graph.
+    ``graph_sizes``, the only record of the graphs it describes, lists their
+    node counts in row order: one for a single graph, every joined graph's
+    for a tensor from :func:`batch_sp_tensors`.
     """
 
     mats: tuple[sparse.csr_matrix, ...]
@@ -145,7 +145,8 @@ def compute_sp_tensor(graph: Graph, r: int) -> SPTensor:
 
 def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:
     """The graphs of ``sps`` as one disconnected graph, with the distances
-    0..r that every tensor holds, r being the smallest cutoff among them.
+    0..r that every tensor holds, r being the smallest cutoff among them;
+    ``graph_sizes`` concatenates theirs, so joins nest like one flat join.
 
     Every ``mats[j]`` is block-diagonal, built by concatenating the CSR
     arrays, so each row keeps its entries in their original order and
@@ -170,7 +171,15 @@ def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:
         indices += np.repeat(row_starts, nnz)
         data = np.concatenate([m.data for m in parts])
         mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return SPTensor(mats=tuple(mats), graph_sizes=sizes)
+    return SPTensor(mats=tuple(mats), graph_sizes=tuple(s for sp in sps for s in sp.graph_sizes))
+
+
+def check_fit(sps: list[SPTensor], graphs: list[Graph], r: int) -> None:
+    """ConfigError unless ``sps`` is one tensor per graph, of that graph alone, to distance >= r."""
+    if [sp.graph_sizes for sp in sps] != [(g.node_count,) for g in graphs]:
+        raise ConfigError(f"{len(sps)} shortest-path tensors do not fit the {len(graphs)} graphs' sizes")
+    if any(sp.r < r for sp in sps):
+        raise ConfigError(f"shortest-path tensors stop short of distance {r}")
 
 
 def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:

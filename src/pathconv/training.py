@@ -31,7 +31,7 @@ from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError, check_count
 from .layers import softmax_cross_entropy
 from .model import Model, ModelConfig, distance_cutoff, resolve_sortpool_k
-from .shortest_paths import SPTensor, batch_sp_tensors, cut_runs, sp_tensors
+from .shortest_paths import SPTensor, batch_sp_tensors, check_fit, cut_runs, sp_tensors
 from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py wraps it by name
 
 log = logging.getLogger(__name__)
@@ -225,24 +225,20 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                    sps: list[SPTensor] | None = None) -> FoldReport:
     """Train on one split and report test accuracy at the best epoch.
 
-    ``split`` is the (train, validation, test) index triple that
-    :func:`check_split` accepts.  Training runs with one BLAS thread
-    (:func:`single_blas_thread`), and the process keeps the memory each
-    pass frees (:func:`keep_freed_memory`).
+    ``split`` is a (train, validation, test) triple for :func:`check_split`;
+    ``sps``, given or built here, must pass :func:`check_fit`.  Training runs
+    with one BLAS thread (:func:`single_blas_thread`), and the process keeps
+    the memory each pass frees (:func:`keep_freed_memory`).
     """
     check_count("fold_id", fold_id, 0)
     check_count("repeat_id", repeat_id, 0)
     train_idx, val_idx, test_idx = check_split(dataset, split)
-    n = len(dataset.graphs)
 
     start = time.perf_counter()
     cutoff = distance_cutoff(config)
     if sps is None:
         sps = precompute_sp_tensors(dataset, cutoff)
-    elif [sp.node_count for sp in sps] != [g.node_count for g in dataset.graphs]:
-        raise ConfigError(f"{len(sps)} shortest-path tensors do not fit the {n} graphs' sizes")
-    elif min(sp.r for sp in sps) < cutoff:
-        raise ConfigError(f"shortest-path tensors stop short of distance {cutoff}")
+    check_fit(sps, dataset.graphs, cutoff)
     config = replace(config, sortpool_k=resolve_sortpool_k(
         config, [dataset.graphs[i].node_count for i in train_idx]))
 

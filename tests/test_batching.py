@@ -236,6 +236,40 @@ class TestBatchSpTensors:
         assert np.array_equal(single.offsets, [0, 4])
 
 
+@st.composite
+def nested_joins(draw):
+    """(sps, joined): up to seven random graphs' tensors, each with its own
+    cutoff, and their join built as a random tree of joins."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sps = [compute_sp_tensor(random_graph(rng, n=draw(st.integers(1, 9)),
+                                          edge_prob=draw(st.sampled_from([0.0, 0.3, 0.6]))),
+                             draw(st.integers(0, 3)))
+           for _ in range(draw(st.integers(1, 7)))]
+
+    def join(part):
+        if len(part) == 1 or draw(st.booleans()):
+            return batch_sp_tensors(part)
+        cuts = sorted(draw(st.sets(st.integers(1, len(part) - 1), min_size=1)))
+        bounds = [0, *cuts, len(part)]
+        return batch_sp_tensors([join(part[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+
+    return sps, join(sps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nested_joins())
+def test_nested_joins_equal_one_flat_join(case):
+    """Any nesting of joins gives the one join of all the graphs, bitwise."""
+    sps, joined = case
+    flat = batch_sp_tensors(sps)
+    assert joined.graph_sizes == flat.graph_sizes == tuple(sp.node_count for sp in sps)
+    assert joined.r == flat.r
+    for mine, theirs in zip(joined.mats, flat.mats, strict=True):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # Zero, a subnormal, tiny, unit and huge values and infinity, each of
 # either sign: every float class whose bits a sort key could misorder.
 EDGE_MAGNITUDES = [0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf]

@@ -1,11 +1,12 @@
 """Command-line interface: commands, outputs, exit codes."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
-from pathconv import ModelConfig, NumericalError, save_tu_dataset
+from pathconv import ModelConfig, NumericalError, run_experiment, save_tu_dataset
 from pathconv import cli
 from pathconv.cli import main
 
@@ -188,6 +189,22 @@ class TestTrain:
                      "--k", "10", "--out", str(tmp_path / "x")])
         assert code == 3
         assert "numerical failure: non-finite loss in fold 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_every_fold_failing_exits_3(self, toy_tu_dir, tmp_path, capsys, monkeypatch, jobs):
+        """Every fold diverges, so no accuracy is left to aggregate.  The
+        real experiment runs; only its learning rate is raised."""
+        def diverging(dataset, config, **counts):
+            return run_experiment(dataset, dataclasses.replace(config, learning_rate=1e200),
+                                  **counts)
+
+        monkeypatch.setattr("pathconv.cli.run_experiment", diverging)
+        code = main(["train", "--dataset", "TOY", "--data-dir", str(toy_tu_dir),
+                     "--folds", "2", "--repeats", "1", "--epochs", "3",
+                     "--k", "10", "--jobs", jobs, "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "numerical failure: every fold failed" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         code = main(["train", "--dataset", "GONE", "--data-dir", str(tmp_path),

@@ -102,7 +102,7 @@ class TestForward:
         other = random_graph(rng, n=7, edge_prob=0.4)
         model = build()
         sp = compute_sp_tensor(other, model.config.r)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ConfigError, match="do not fit"):
             model_forward(g, sp, model)
 
     def test_batched_sp_tensor_rejected(self):
@@ -111,8 +111,27 @@ class TestForward:
         g = path_graph(12, target=0, feature_dim=3)
         sp = batch_sp_tensors([compute_sp_tensor(path_graph(6, target=0), 2)] * 2)
         assert sp.node_count == g.node_count
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ConfigError, match="do not fit"):
             model_forward(g, sp, build())
+
+    @pytest.mark.parametrize("mode, r, built", [("parametric", 2, 1), ("parametric", 1, 0),
+                                                ("dgcnn_baseline", 2, 0)])
+    def test_tensor_short_of_cutoff_rejected(self, mode, r, built):
+        """The tensor must reach the distance the model reads: r in
+        parametric mode, 1 in baseline mode."""
+        g = path_graph(6, target=0, feature_dim=3)
+        model = build(r=r, mode=mode)
+        cutoff = distance_cutoff(model.config)
+        with pytest.raises(ConfigError, match=f"stop short of distance {cutoff}"):
+            model_forward(g, compute_sp_tensor(g, built), model)
+
+    def test_tensor_past_cutoff_accepted(self):
+        """Baseline mode reads distance 1 alone, so an r = 2 tensor gives
+        what an r = 1 tensor gives, bit for bit."""
+        g = random_graph(np.random.default_rng(6), n=9, edge_prob=0.3)
+        model = build(mode="dgcnn_baseline")
+        assert np.array_equal(model_forward(g, compute_sp_tensor(g, 2), model),
+                              model_forward(g, compute_sp_tensor(g, 1), model))
 
     def test_dropout_runs_only_with_rng(self):
         rng = np.random.default_rng(4)
@@ -407,6 +426,13 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda meta, _: meta.pop(key))
         with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+    def test_array_the_model_lacks_is_config_error(self, tmp_path):
+        """Only ``__meta__`` and the model's parameters may be stored."""
+        path = tmp_path / "model.npz"
+        self.rewrite(path, lambda _, entries: entries.update({"gconv0.w7": entries["gconv0.w0"]}))
+        with pytest.raises(ConfigError, match=r"arrays the model lacks: gconv0\.w7$"):
             load_checkpoint(path)
 
     def test_unknown_config_key_is_config_error(self, tmp_path):

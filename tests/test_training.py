@@ -37,6 +37,7 @@ from pathconv import (
 )
 from pathconv.model import MODES, distance_cutoff
 import pathconv.training as training
+from pathconv.shortest_paths import batch_sp_tensors
 
 from conftest import build_toy_dataset
 from oracles import path_graph
@@ -242,6 +243,18 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="do not fit"):
             train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps)
 
+    def test_sps_joined_tensor_rejected(self, toy_dataset):
+        """A join of two paths has a cycle's row count but describes two
+        graphs."""
+        split = toy_splits(toy_dataset)[0]
+        sps = training.precompute_sp_tensors(toy_dataset, TOY_CONFIG.r)
+        n = toy_dataset.graphs[2].node_count
+        sps[2] = batch_sp_tensors([compute_sp_tensor(path_graph(m, target=0), TOY_CONFIG.r)
+                                   for m in (n // 2, n - n // 2)])
+        assert sps[2].node_count == n
+        with pytest.raises(ConfigError, match="do not fit"):
+            train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps)
+
     def test_sps_below_distance_cutoff_rejected(self, toy_dataset):
         split = toy_splits(toy_dataset)[0]
         sps = training.precompute_sp_tensors(toy_dataset, 1)
@@ -390,6 +403,13 @@ class TestRunExperiment:
         for a, b in zip(seq.fold_reports, par.fold_reports, strict=True):
             assert (a.train_losses, a.val_losses, a.best_epoch, a.test_accuracy) == \
                    (b.train_losses, b.val_losses, b.best_epoch, b.test_accuracy)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_fold_failed_raises(self, toy_dataset, jobs):
+        config = dataclasses.replace(TOY_CONFIG, epochs=3, learning_rate=1e200)
+        with pytest.raises(NumericalError, match="every fold failed"):
+            run_experiment(toy_dataset, config, folds=2, repeats=1, jobs=jobs)
 
     def test_parallel_matches_sequential(self, toy_dataset):
         config = dataclasses.replace(TOY_CONFIG, epochs=2)
