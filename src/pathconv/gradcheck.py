@@ -3,9 +3,10 @@
 Each check builds a scalar objective (a fixed random projection of the
 layer output, or the cross-entropy loss), computes the analytic gradient
 through ``backward`` and compares it against central differences with
-step 1e-6 in 64-bit.  One routine, :func:`compare`, runs every
-comparison: :func:`check_layer` feeds it each layer, :func:`check_model`
-the whole model, and the loss check the loss alone.  Inputs feeding the
+step 1e-6, on float64 layers and models only.  One routine,
+:func:`compare`, runs every comparison: :func:`check_layer` feeds it
+each layer, :func:`check_model` the whole model, and the loss check the
+loss alone.  Inputs feeding the
 sorting and max-pooling layers are constructed, or drawn again, until
 their keys are well separated, so the objective is smooth in the checked
 neighborhood.  Layers after the graph convolutions are checked on
@@ -187,7 +188,8 @@ def readout_margin(model: Model, sp, x) -> float:
 def _small_model(rng: np.random.Generator, mode: str = "parametric") -> Model:
     config = ModelConfig(r=2, conv_layers=2, channels=3, sortpool_k=10,
                          conv1_filters=3, conv2_filters=4, dense_width=6,
-                         dropout_rate=0.0, mode=mode, seed=int(rng.integers(1 << 31)))
+                         dropout_rate=0.0, mode=mode, seed=int(rng.integers(1 << 31)),
+                         dtype="float64")
     model = Model(config, feature_dim=3, num_classes=2)
     # Nudge every parameter (biases included) so no pre-activation sits
     # exactly on a rectifier kink; zero-padded pooling rows would otherwise

@@ -12,7 +12,9 @@ disconnected graph whose node rows are stacked; SortPool cuts it into a
 (graphs, k, channels) block, and every later layer takes that leading
 batch axis.  Parameter gradients are summed over the batch.
 
-All arithmetic is 64-bit.
+Each layer computes in one floating-point type: its parameters' dtype,
+float64 unless a ``dtype`` is given at construction, and its outputs,
+caches and gradients stay in that type for inputs of that type.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from .shortest_paths import SPTensor, propagate, propagate_transpose
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...] | None = None) -> np.ndarray:
+                   shape: tuple[int, ...] | None = None, dtype=np.float64) -> np.ndarray:
+    """Drawn in float64, whatever ``dtype``, so every dtype gets the same
+    draws from ``rng``, rounded."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out)
+                       ).astype(dtype, copy=False)
 
 
 class GraphConv:
@@ -48,10 +53,12 @@ class GraphConv:
     argument.
     """
 
-    def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator):
+    def __init__(self, blocks: int, c_in: int, c_out: int, rng: np.random.Generator,
+                 dtype=np.float64):
         self.c_in = c_in
         self.c_out = c_out
-        self.weight = np.hstack([glorot_uniform(rng, c_in, c_out) for _ in range(blocks)])
+        self.weight = np.hstack([glorot_uniform(rng, c_in, c_out, dtype=dtype)
+                                 for _ in range(blocks)])
         self.grad_weight = np.zeros_like(self.weight)
 
     @property
@@ -94,11 +101,14 @@ class DistanceConv(GraphConv):
     """One weight matrix per shortest-path distance: block j in 0..r is
     the mean over the nodes at distance exactly j, Q_j = P_j.  Block 0
     is kept as it is (P_0 = I) and each later block is propagated in
-    place."""
+    place.  The operators stay float64: scipy takes each product in
+    float64, and writing it back into its block rounds it to the block's
+    dtype."""
 
-    def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator):
+    def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator,
+                 dtype=np.float64):
         self.r = r
-        super().__init__(r + 1, c_in, c_out, rng)
+        super().__init__(r + 1, c_in, c_out, rng, dtype)
 
     def _propagate(self, sp: SPTensor, z: np.ndarray) -> np.ndarray:
         for j, block in enumerate(self._blocks(z)[1:], 1):
@@ -115,21 +125,23 @@ class JointConv(GraphConv):
     """Baseline graph convolution: one weight matrix and the joint mean
     over a node and its direct neighbors, Q = N (I + D P_1), where D holds
     the neighbor counts d and N their joint normalizers 1 / (1 + d) on
-    its diagonal."""
+    its diagonal.  d, N and the float64 products with P_1 are cast to the
+    argument's dtype."""
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        super().__init__(1, c_in, c_out, rng)
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__(1, c_in, c_out, rng, dtype)
 
     def _propagate(self, sp: SPTensor, z: np.ndarray) -> np.ndarray:
         # Neighbor count, exact: one stored entry per neighbor.
-        d = np.diff(sp.mats[1].indptr)[:, None]
+        d = np.diff(sp.mats[1].indptr)[:, None].astype(z.dtype)
         norm = 1.0 / (1 + d)  # self-contribution keeps every row sum >= 1
-        return norm * (z + d * propagate(sp, 1, z))
+        return norm * (z + d * propagate(sp, 1, z).astype(z.dtype, copy=False))
 
     def _propagate_transpose(self, sp: SPTensor, g: np.ndarray) -> np.ndarray:
-        d = np.diff(sp.mats[1].indptr)[:, None]
+        d = np.diff(sp.mats[1].indptr)[:, None].astype(g.dtype)
         s = 1.0 / (1 + d) * g
-        return s + propagate_transpose(sp, 1, d * s)  # (I + D P_1)^T N g
+        # (I + D P_1)^T N g
+        return s + propagate_transpose(sp, 1, d * s).astype(g.dtype, copy=False)
 
 
 class SortPool:
@@ -168,9 +180,10 @@ class SortPool:
             pos = np.flatnonzero(~(new & np.append(new[1:], True)))  # runs of 2+
             rows = order[pos]
             # Descending float order as unsigned integer order: flip all but
-            # the sign bit of non-negative values.  + 0.0 turns -0.0 into
-            # 0.0 so the two compare equal.
-            x = (h[rows, -2::-1] + 0.0).view(np.int64)
+            # the sign bit of non-negative values.  Widening to float64 is
+            # exact, so every dtype has the order of its values; + 0.0 turns
+            # -0.0 into 0.0 so the two compare equal.
+            x = np.add(h[rows, -2::-1], 0.0, dtype=np.float64).view(np.int64)
             x ^= ~(x >> 63) & 0x7FFF_FFFF_FFFF_FFFF
             # Big-endian bytes compare in the order of the integers, and
             # numpy compares unstructured void values bytewise.
@@ -182,7 +195,7 @@ class SortPool:
         kept[order] = rank < self.k
         slot = np.zeros(n, dtype=np.int64)  # output row of each kept node
         slot[order] = graph * self.k + rank
-        out = np.zeros((len(offsets) - 1, self.k, c))
+        out = np.zeros((len(offsets) - 1, self.k, c), dtype=h.dtype)
         out.reshape(-1, c)[slot[kept]] = h[kept]
         return out, (slot, kept, out.shape)
 
@@ -202,13 +215,14 @@ class Conv1D:
     """1-D cross-correlation with stride 1 over (..., length, channels)
     signals.  At width 1 it acts on each step's channel row alone."""
 
-    def __init__(self, c_in: int, filters: int, width: int, rng: np.random.Generator):
+    def __init__(self, c_in: int, filters: int, width: int, rng: np.random.Generator,
+                 dtype=np.float64):
         self.c_in = c_in
         self.filters = filters
         self.width = width
         self.kernel = glorot_uniform(rng, width * c_in, filters,
-                                     shape=(filters, width, c_in))
-        self.bias = np.zeros(filters)
+                                     shape=(filters, width, c_in), dtype=dtype)
+        self.bias = np.zeros(filters, dtype)
         self.grad_kernel = np.zeros_like(self.kernel)
         self.grad_bias = np.zeros_like(self.bias)
 
@@ -236,7 +250,8 @@ class Conv1D:
         # slice of the product; at width 1 the product is the gradient
         # itself, with no second signal-sized array to fill.
         edge = self.width - 1
-        dpad = np.zeros((*dout.shape[:-2], dout.shape[-2] + 2 * edge, self.filters))
+        dpad = np.zeros((*dout.shape[:-2], dout.shape[-2] + 2 * edge, self.filters),
+                        dout.dtype)
         dpad[..., edge:edge + dout.shape[-2], :] = dout
         dtap = dpad.reshape(-1, self.filters) @ self.kernel.reshape(self.filters, -1)
         dtap = dtap.reshape(*dpad.shape[:-1], self.width, self.c_in)
@@ -265,7 +280,7 @@ class MaxPool1D:
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         arg, x_shape = cache
         *lead, length, channels = x_shape
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape, dout.dtype)
         # Splitting the step axis in two is a view, so this writes into dx.
         pairs = dx[..., : length - length % 2, :].reshape(*lead, -1, 2, channels)
         np.put_along_axis(pairs, arg, dout[..., None, :], axis=-2)
@@ -284,9 +299,9 @@ class Dense:
     must not change before then.
     """
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        self.weight = glorot_uniform(rng, c_in, c_out)
-        self.bias = np.zeros(c_out)
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float64):
+        self.weight = glorot_uniform(rng, c_in, c_out, dtype=dtype)
+        self.bias = np.zeros(c_out, dtype)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
@@ -329,7 +344,7 @@ class Dropout:
     def forward(self, x: np.ndarray, rng: np.random.Generator | None):
         if rng is None or self.rate == 0.0:
             return x, None
-        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        mask = np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, dtype=x.dtype)
         return x * mask, mask
 
     def backward(self, mask, dout: np.ndarray) -> np.ndarray:

@@ -40,13 +40,15 @@ from .layers import (
 from .shortest_paths import SPTensor, check_fit
 
 MODES = ("parametric", "dgcnn_baseline")
+DTYPES = ("float32", "float64")
 
 # Kernel width of the second read-out convolution.
 CONV2_WIDTH = 5
 
 # Version of the checkpoint layout.  Checkpoints without one predate it
 # (their conv1 kernel has another shape) and are refused, as are format-2
-# ones (their baseline weights are named gconvI.w, not gconvI.w0).
+# ones (their baseline weights are named gconvI.w, not gconvI.w0).  A
+# format-3 config without a dtype was written by a float64 model.
 CHECKPOINT_FORMAT = 3
 
 
@@ -60,7 +62,8 @@ class ModelConfig:
     matrix and outputs ``channels`` columns.  ``sortpool_k=None`` selects
     k at training time as the largest k such that at least 60% of the
     training graphs have at least k nodes (clamped to the smallest k the
-    read-out supports).
+    read-out supports).  ``dtype`` is the floating-point type the model
+    trains and infers in; float64 is for exact checks.
 
     A config is valid by construction: each field must be an instance of
     its annotation (a float field also takes an int, no field a bool) and
@@ -80,6 +83,7 @@ class ModelConfig:
     epochs: int = 300
     batch_size: int = 50
     seed: int = 1
+    dtype: str = "float32"
 
     def __post_init__(self):
         hints = get_type_hints(ModelConfig)
@@ -92,6 +96,8 @@ class ModelConfig:
                 raise ConfigError(f"{f.name}={value!r} is not {f.type}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
         # sortpool_k >= 2 * CONV2_WIDTH: the pair pooling halves the k rows,
         # and the second read-out convolution must fit in what is left.
         for name, low in (("r", 0), ("epochs", 0), ("conv_layers", 1), ("channels", 1),
@@ -146,15 +152,16 @@ class Model:
         self.config = config
         self.feature_dim = feature_dim
         self.num_classes = num_classes
+        self.dtype = dtype = np.dtype(config.dtype)
 
         rng = np.random.default_rng(config.seed)
         self.graph_convs = []
         width = feature_dim
         for _ in range(config.conv_layers):
             if config.mode == "parametric":
-                conv = DistanceConv(config.r, width, config.channels, rng)
+                conv = DistanceConv(config.r, width, config.channels, rng, dtype)
             else:
-                conv = JointConv(width, config.channels, rng)
+                conv = JointConv(width, config.channels, rng, dtype)
             self.graph_convs.append(conv)
             width = conv.out_width
         ends = np.cumsum([c.out_width for c in self.graph_convs]).tolist()
@@ -163,14 +170,14 @@ class Model:
 
         k = config.sortpool_k
         self.sortpool = SortPool(k)
-        self.conv1 = Conv1D(self.concat_width, config.conv1_filters, width=1, rng=rng)
+        self.conv1 = Conv1D(self.concat_width, config.conv1_filters, 1, rng, dtype)
         self.pool = MaxPool1D()
-        self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters,
-                            width=CONV2_WIDTH, rng=rng)
+        self.conv2 = Conv1D(config.conv1_filters, config.conv2_filters, CONV2_WIDTH, rng,
+                            dtype)
         self.dense1 = Dense(self.conv2.out_length(k // 2) * config.conv2_filters,
-                            config.dense_width, rng)
+                            config.dense_width, rng, dtype)
         self.dropout = Dropout(config.dropout_rate)
-        self.dense2 = Dense(config.dense_width, num_classes, rng)
+        self.dense2 = Dense(config.dense_width, num_classes, rng, dtype)
         # From SortPool's (graphs, k, c) block to dense1's rectified rows.
         self.readout = [self.conv1, ReLU(), self.pool, self.conv2, ReLU(),
                         self.dense1, ReLU()]
@@ -183,13 +190,16 @@ class Model:
 
     def _convolve(self, sp: SPTensor, h: np.ndarray):
         """Every graph convolution, each writing its columns of one
-        (nodes, concat_width) array; returns that array and the caches.
-        The feature rows ``h`` reach the first convolution as stored: its
-        GEMMs widen bool and int rows to float64 themselves."""
+        (nodes, concat_width) array of the model's dtype; returns that array
+        and the caches.  Bool feature rows reach the first convolution as
+        stored, since its GEMMs take them in the weights' dtype; other rows
+        are cast to the model's dtype."""
         if h.shape != (sp.node_count, self.feature_dim):
             raise ValueError(f"feature shape {h.shape} does not match (nodes, feature "
                              f"dimension) = ({sp.node_count}, {self.feature_dim})")
-        hcat = np.empty((sp.node_count, self.concat_width))
+        if h.dtype != bool:
+            h = h.astype(self.dtype, copy=False)
+        hcat = np.empty((sp.node_count, self.concat_width), self.dtype)
         caches = []
         for conv, (lo, hi) in zip(self.graph_convs, self._conv_columns):
             h, cache = conv.forward(sp, h, out=hcat[:, lo:hi])
@@ -199,9 +209,11 @@ class Model:
     def forward(self, sp: SPTensor, x: np.ndarray, rng: np.random.Generator | None = None):
         """Class probabilities, one row per graph of ``sp``, plus the cache
         backward needs.  ``x`` stacks the graphs' feature rows, bool, int
-        or float; the model reads it as stored and keeps no copy, and
-        every product with a weight is float64.  Dropout draws its mask
-        from ``rng`` and is off without one."""
+        or float; every layer computes in the model's dtype.  The logits
+        are widened to float64 for the softmax, so the probabilities are
+        float64 rows that sum to 1 within float64 rounding, whatever the
+        dtype.  Dropout draws its mask from ``rng`` and is off without
+        one."""
         hcat, conv_caches = self._convolve(sp, x)
         h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
         readout_caches = []
@@ -210,6 +222,7 @@ class Model:
             readout_caches.append(layer_cache)
         h, mask = self.dropout.forward(h, rng)
         logits, dense2_cache = self.dense2.forward(h)
+        logits = logits.astype(np.float64, copy=False)
         cache = {"conv_caches": conv_caches, "record": record,
                  "readout_caches": readout_caches, "dropout_mask": mask,
                  "dense2_cache": dense2_cache, "logits": logits}
@@ -218,8 +231,9 @@ class Model:
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False):
         """Add this batch's parameter gradients to the sums that
         ``gradients()`` returns.  Returns the input-feature gradient when
-        ``input_grad`` is set, else None."""
-        d = self.dense2.backward(cache["dense2_cache"], dlogits)
+        ``input_grad`` is set, else None.  ``dlogits`` is taken in the
+        model's dtype."""
+        d = self.dense2.backward(cache["dense2_cache"], dlogits.astype(self.dtype, copy=False))
         d = self.dropout.backward(cache["dropout_mask"], d)
         for layer, layer_cache in zip(reversed(self.readout),
                                       reversed(cache["readout_caches"])):
@@ -351,7 +365,9 @@ def load_checkpoint(path) -> Model:
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ConfigError(f"checkpoint has unknown config keys: {', '.join(unknown)}")
-        model = Model(ModelConfig(**meta["config"]), meta["feature_dim"], meta["num_classes"])
+        # A config without a dtype predates the field: it trained in float64.
+        config = ModelConfig(**{"dtype": "float64", **meta["config"]})
+        model = Model(config, meta["feature_dim"], meta["num_classes"])
         unknown = sorted(set(data.files) - {"__meta__"} - {name for name, _ in model.parameters()})
         if unknown:
             raise ConfigError(f"checkpoint has arrays the model lacks: {', '.join(unknown)}")

@@ -167,9 +167,10 @@ def test_gradient_suite():
 
 
 def test_permutation_invariance():
-    """50 relabeled graphs with distinct sort keys agree within 1e-10."""
+    """50 relabeled graphs with distinct sort keys agree within 1e-10, in
+    float64."""
     rng = np.random.default_rng(77)
-    model = build(seed=23)
+    model = build(seed=23, dtype="float64")
     checked = 0
     attempts = 0
     worst = 0.0
@@ -193,25 +194,28 @@ def test_permutation_invariance():
 
 
 def test_receptive_field_locality():
-    """sp(u, v) > l*r leaves layer-l rows of v bitwise unchanged, r <= 3."""
-    rng = np.random.default_rng(99)
-    pairs_checked = 0
-    for r in range(4):
-        for trial in range(8):
-            n = int(rng.integers(8, 16))
-            g = random_graph(rng, n=n, edge_prob=0.15)
-            model = build(r=r, conv_layers=3, seed=3)
-            sp = compute_sp_tensor(g, r)
-            dist = floyd_warshall_distances(n, g.edges)
-            u = int(rng.integers(n))
-            x2 = g.features.copy()
-            x2[u] += rng.normal(size=x2.shape[1])
-            base = model.conv_activations(sp, g.features)
-            bumped = model.conv_activations(sp, x2)
-            for layer_index, (a, b) in enumerate(zip(base, bumped), start=1):
-                for v in range(n):
-                    if dist[u, v] > layer_index * r:
-                        assert np.array_equal(a[v], b[v]), (r, layer_index, u, v)
-                        pairs_checked += 1
-    assert pairs_checked > 500
-    _passed("receptive-field-locality", f"{pairs_checked} distant pairs bitwise equal")
+    """sp(u, v) > l*r leaves layer-l rows of v bitwise unchanged, r <= 3,
+    in float64 and in float32."""
+    for dtype in ("float64", "float32"):
+        rng = np.random.default_rng(99)
+        pairs_checked = 0
+        for r in range(4):
+            for trial in range(8):
+                n = int(rng.integers(8, 16))
+                g = random_graph(rng, n=n, edge_prob=0.15)
+                model = build(r=r, conv_layers=3, seed=3, dtype=dtype)
+                sp = compute_sp_tensor(g, r)
+                dist = floyd_warshall_distances(n, g.edges)
+                u = int(rng.integers(n))
+                x2 = g.features.copy()
+                x2[u] += rng.normal(size=x2.shape[1])
+                base = model.conv_activations(sp, g.features)
+                bumped = model.conv_activations(sp, x2)
+                for layer_index, (a, b) in enumerate(zip(base, bumped), start=1):
+                    for v in range(n):
+                        if dist[u, v] > layer_index * r:
+                            assert np.array_equal(a[v], b[v]), (dtype, r, layer_index, u, v)
+                            pairs_checked += 1
+        assert pairs_checked > 500
+        _passed(f"receptive-field-locality[{dtype}]",
+                f"{pairs_checked} distant pairs bitwise equal")

@@ -2,7 +2,8 @@
 
 A batched pass must give every graph what a pass over that graph alone
 gives, and cutting a minibatch into node-budget sub-batches must not
-change the summed gradients or the dropout draws.
+change the summed gradients or the dropout draws.  The comparisons at
+TOL run on float64 models.
 """
 
 import dataclasses
@@ -70,7 +71,7 @@ CASES = [(0, "parametric"), (1, "parametric"), (2, "parametric"), (3, "parametri
 @pytest.mark.parametrize("r, mode", CASES)
 def test_batched_pass_matches_singletons(r, mode):
     dataset = mixed_dataset()
-    model = build(r=r, mode=mode, conv_layers=3)
+    model = build(r=r, mode=mode, conv_layers=3, dtype="float64")
     cutoff = distance_cutoff(model.config)
     sps = precompute_sp_tensors(dataset, cutoff)
     targets = np.array([g.target for g in dataset.graphs])
@@ -129,7 +130,7 @@ def test_random_cuts_match_singletons(mode, batch):
     """Probabilities, losses, input gradients and summed parameter
     gradients of sub-batches equal those of one graph at a time."""
     graphs, cuts, r = batch
-    model = build(r=r, mode=mode)
+    model = build(r=r, mode=mode, dtype="float64")
     cutoff = distance_cutoff(model.config)
     sps = [compute_sp_tensor(g, cutoff) for g in graphs]
 
@@ -162,7 +163,7 @@ def test_split_minibatch_matches_one_pass(monkeypatch):
     minibatch is cut."""
     dataset = mixed_dataset(seed=1)
     dataset = dataclasses.replace(dataset, graphs=dataset.graphs[:4] + dataset.graphs[5:])
-    model = build(r=2, dropout_rate=0.5)
+    model = build(r=2, dropout_rate=0.5, dtype="float64")
     sps = precompute_sp_tensors(dataset, 2)
     batch = np.array([4, 0, 2, 5, 1, 3])
 

@@ -25,6 +25,7 @@ from pathconv import (
     save_checkpoint,
     save_tu_dataset,
 )
+from pathconv.layers import softmax_cross_entropy
 from pathconv.model import MODES, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, sp_tensors
 
@@ -38,6 +39,11 @@ from oracles import (
 
 SMALL = dict(conv_layers=2, channels=4, sortpool_k=10, conv1_filters=3,
              conv2_filters=4, dense_width=8, dropout_rate=0.0)
+
+# float32 against float64 on the same weights: about 80 float32 epsilons
+# (1.2e-7) of the largest magnitude compared.  The models below differ by
+# 2.6e-7 or less.
+F32_TOL = 1e-5
 
 
 def build(r=2, mode="parametric", feature_dim=3, num_classes=2, seed=5, **kw):
@@ -163,7 +169,7 @@ def test_forward_matches_readout_oracle(mode, with_rng):
     0, so passing a generator gives the same probabilities."""
     rng = np.random.default_rng(8)
     graphs = [random_graph(rng, n=n, edge_prob=0.3) for n in (6, 14, 11)]
-    model = build(mode=mode)
+    model = build(mode=mode, dtype="float64")
     r = distance_cutoff(model.config)
     sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
     x = np.vstack([g.features for g in graphs])
@@ -175,6 +181,108 @@ def test_forward_matches_readout_oracle(mode, with_rng):
                        for lo, hi in zip(bounds[:-1], bounds[1:])])
     expected = readout_probabilities(pooled, dict(model.parameters()))
     assert np.allclose(probs, expected, rtol=0, atol=1e-12)
+
+
+def float_arrays(obj) -> list[np.ndarray]:
+    """Every floating-point array in a nest of tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in float_arrays(item)]
+    return []
+
+
+class TestFloat32:
+    """The default dtype: every layer computes in float32, and only the
+    logits are widened, so the probabilities are float64."""
+
+    @staticmethod
+    def graphs(count: int) -> list[Graph]:
+        rng = np.random.default_rng(6)
+        return [random_graph(rng, n=n, edge_prob=0.3, target=n % 2)
+                for n in (9, 1, 14, 7)[:count]]
+
+    @pytest.mark.parametrize("features", [bool, np.int64, np.float64])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_layer_upcasts(self, monkeypatch, mode, count, features):
+        """On a one-graph and a batched pass, dropout on, every layer's
+        output and input gradient, every cache array, every gradient and
+        both Adam moments are float32.  So are the graph convolutions'
+        operator products, which their output arrays would round."""
+        model = build(mode=mode, conv_layers=3, dropout_rate=0.5)
+        assert model.dtype == np.float32
+        returned = []
+        hooks = ("_propagate", "_propagate_transpose")
+        for layer in [*model.graph_convs, model.sortpool, *model.readout, model.dropout,
+                      model.dense2]:
+            for method in ("forward", "backward") + hooks * (layer in model.graph_convs):
+                def record(*args, _call=getattr(layer, method), **kw):
+                    returned.append(_call(*args, **kw))
+                    return returned[-1]
+                monkeypatch.setattr(layer, method, record)
+        graphs = self.graphs(count)
+        sp = batch_sp_tensors(sp_tensors(graphs, distance_cutoff(model.config)))
+        x = np.vstack([g.features for g in graphs]).astype(features)
+        probs, cache = model.forward(sp, x, rng=np.random.default_rng(0))
+        _, dlogits = softmax_cross_entropy(cache["logits"], [g.target for g in graphs])
+        dx = model.backward(cache, dlogits, input_grad=True)
+        optimizer = model.make_optimizer()
+        optimizer.step(model.gradients())
+
+        assert probs.dtype == cache.pop("logits").dtype == np.float64
+        assert cache["dropout_mask"] is not None
+        checked = float_arrays([returned, cache, dx, model.parameters(),
+                                model.gradients(), optimizer.m, optimizer.v])
+        assert len(returned) >= 2 * (len(model.readout) + len(model.graph_convs) + 3)
+        assert {a.dtype for a in checked} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_agrees_with_float64_on_same_weights(self, mode):
+        """A float64 model's state cast to float32 gives the same pooled
+        rows and, within F32_TOL, the same probabilities, losses, input
+        gradient and parameter gradients on a batched pass."""
+        from test_batching import assert_close  # it imports this module
+
+        exact = build(mode=mode, conv_layers=3, dtype="float64", seed=3)
+        rng = np.random.default_rng(4)
+        for _, p in exact.parameters():
+            p += rng.normal(scale=0.1, size=p.shape)
+        fast = build(mode=mode, conv_layers=3, seed=3)
+        fast.set_state(exact.get_state())
+        graphs = self.graphs(4)
+        sp = batch_sp_tensors(sp_tensors(graphs, distance_cutoff(exact.config)))
+        x = np.vstack([g.features for g in graphs])
+        targets = [g.target for g in graphs]
+
+        def run(model):
+            """SortPool's record, then probabilities, losses, input gradient
+            and parameter gradients."""
+            _, cache = model.forward(sp, x)
+            model.zero_gradients()
+            losses, probs, dx = model.loss_and_gradients(sp, x, targets, input_grad=True)
+            grads = [g.copy() for _, g in model.gradients()]
+            return cache["record"][:2], [probs, losses, dx, *grads]
+
+        (slot64, kept64), out64 = run(exact)
+        (slot32, kept32), out32 = run(fast)
+        assert np.array_equal(slot32, slot64) and np.array_equal(kept32, kept64)
+        assert {a.dtype for a in out32[2:]} == {np.dtype(np.float32)}
+        for a32, a64 in zip(out32, out64):
+            assert_close(a32, a64, tol=F32_TOL)
+
+    def test_model_forward_rows_are_float64(self):
+        """model_forward returns float64 rows that sum to 1 within 1e-12."""
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            g = random_graph(rng, n=int(rng.integers(3, 15)), edge_prob=0.3)
+            model = build(seed=trial, num_classes=2 + trial % 3)
+            probs = model_forward(g, compute_sp_tensor(g, model.config.r), model)
+            assert model.dtype == np.float32
+            assert probs.dtype == np.float64
+            assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 class TestWidthLaw:
@@ -196,7 +304,7 @@ class TestWidthLaw:
 class TestPermutationInvariance:
     def test_fifty_random_graphs(self):
         rng = np.random.default_rng(11)
-        model = build(seed=23)
+        model = build(seed=23, dtype="float64")
         checked = 0
         attempts = 0
         while checked < 50 and attempts < 500:
@@ -218,39 +326,42 @@ class TestPermutationInvariance:
 
 
 class TestReceptiveFieldLocality:
+    # Each check runs on a float64 model and on a float32 one.
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_distant_nodes_bitwise_unchanged(self, r):
-        rng = np.random.default_rng(17)
-        for _ in range(6):
-            n = int(rng.integers(8, 16))
-            g = random_graph(rng, n=n, edge_prob=0.15)
-            model = build(r=r, conv_layers=3, seed=3)
-            sp = compute_sp_tensor(g, r)
-            dist = floyd_warshall_distances(n, g.edges)
+        for dtype in ("float64", "float32"):
+            rng = np.random.default_rng(17)
+            for _ in range(6):
+                n = int(rng.integers(8, 16))
+                g = random_graph(rng, n=n, edge_prob=0.15)
+                model = build(r=r, conv_layers=3, seed=3, dtype=dtype)
+                sp = compute_sp_tensor(g, r)
+                dist = floyd_warshall_distances(n, g.edges)
 
-            u = int(rng.integers(n))
-            x2 = g.features.copy()
-            x2[u] += rng.normal(size=x2.shape[1])
+                u = int(rng.integers(n))
+                x2 = g.features.copy()
+                x2[u] += rng.normal(size=x2.shape[1])
 
-            base = model.conv_activations(sp, g.features)
-            bumped = model.conv_activations(sp, x2)
-            for layer_index, (a, b) in enumerate(zip(base, bumped), start=1):
-                reach = layer_index * r
-                outside = [v for v in range(n) if dist[u, v] > reach]
-                for v in outside:
-                    assert np.array_equal(a[v], b[v]), (r, layer_index, u, v)
+                base = model.conv_activations(sp, g.features)
+                bumped = model.conv_activations(sp, x2)
+                for layer_index, (a, b) in enumerate(zip(base, bumped), start=1):
+                    reach = layer_index * r
+                    outside = [v for v in range(n) if dist[u, v] > reach]
+                    for v in outside:
+                        assert np.array_equal(a[v], b[v]), (dtype, r, layer_index, u, v)
 
     def test_within_reach_changes_are_possible(self):
         # Sanity: the perturbation does propagate inside the bound.
-        rng = np.random.default_rng(19)
-        g = random_graph(rng, n=6, edge_prob=0.9)
-        model = build(r=1, conv_layers=3, seed=3)
-        sp = compute_sp_tensor(g, 1)
-        x2 = g.features.copy()
-        x2[0] += 1.0
-        base = model.conv_activations(sp, g.features)
-        bumped = model.conv_activations(sp, x2)
-        assert not np.array_equal(base[0], bumped[0])
+        for dtype in ("float64", "float32"):
+            rng = np.random.default_rng(19)
+            g = random_graph(rng, n=6, edge_prob=0.9)
+            model = build(r=1, conv_layers=3, seed=3, dtype=dtype)
+            sp = compute_sp_tensor(g, 1)
+            x2 = g.features.copy()
+            x2[0] += 1.0
+            base = model.conv_activations(sp, g.features)
+            bumped = model.conv_activations(sp, x2)
+            assert not np.array_equal(base[0], bumped[0]), dtype
 
 
 class TestDeterminism:
@@ -286,22 +397,19 @@ class TestDeterminism:
         assert any(not np.array_equal(p, q) for (_, p), (_, q) in zip(a, b))
 
 
-def test_training_pass_peak_memory_per_node(tmp_path):
-    """One training pass over a 3000-node graph, with 89 label columns as
-    the loader stores them, peaks within 6.0 KB per node traced at r = 2
-    (5.65 KB measured).  A float64 copy of the one-byte rows held for the
-    first convolution (712 bytes per node, 6.36 KB in all) would break it,
-    and so would a gradient as wide as the concatenated layer outputs
-    (2.3 KB per node)."""
-    idx = np.arange(3000).reshape(60, 50)  # a triangulated grid
+def grid_pass_peak_per_node(directory, dtype: str) -> float:
+    """Traced peak bytes per node of one training pass at r = 2 over a
+    3000-node triangulated grid with 89 label columns as the loader
+    stores them, one byte per entry."""
+    idx = np.arange(3000).reshape(60, 50)
     edges = np.concatenate([np.stack((a.ravel(), b.ravel()), 1) for a, b in (
         (idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:]), (idx[:-1, :-1], idx[1:, 1:]))])
     labels = np.random.default_rng(0).integers(89, size=idx.size)
     labels[:89] = np.arange(89)
     save_tu_dataset(Dataset("GRID", (Graph(idx.size, edges, np.eye(89)[labels], 0),), 1, 89),
-                    tmp_path)
-    (g,) = load_tu_dataset(tmp_path, "GRID").graphs
-    model = Model(ModelConfig(r=2, sortpool_k=100), g.feature_dim, 2)
+                    directory)
+    (g,) = load_tu_dataset(directory, "GRID").graphs
+    model = Model(ModelConfig(r=2, sortpool_k=100, dtype=dtype), g.feature_dim, 2)
     sp = sp_tensors([g], 2)[0]
     tracemalloc.start()
     try:
@@ -309,7 +417,26 @@ def test_training_pass_peak_memory_per_node(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6000 * g.node_count, f"{peak / g.node_count:.0f} bytes per node"
+    return peak / g.node_count
+
+
+def test_training_pass_peak_memory_per_node(tmp_path):
+    """In float64, the pass peaks within 6.0 KB per node (5.55–5.65 KB
+    measured).  A float64 copy of the one-byte rows held for the first
+    convolution (712 bytes per node, 6.36 KB in all) would break it, and
+    so would a gradient as wide as the concatenated layer outputs
+    (2.3 KB per node)."""
+    per_node = grid_pass_peak_per_node(tmp_path, "float64")
+    assert per_node <= 6000, f"{per_node:.0f} bytes per node"
+
+
+def test_float32_training_pass_peak_memory_per_node(tmp_path):
+    """In float32, the default, the same pass peaks within 3.3 KB per node
+    (3.04 KB measured).  A float32 copy of the one-byte rows (356 bytes
+    per node) would break it, and so would a concatenated gradient
+    (1.15 KB per node)."""
+    per_node = grid_pass_peak_per_node(tmp_path, "float32")
+    assert per_node <= 3300, f"{per_node:.0f} bytes per node"
 
 
 class TestFilterViews:
@@ -363,6 +490,7 @@ class TestFilterViews:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = build(seed=9)
+        assert model.dtype == np.float32  # the default
         # Perturb away from the deterministic init so the test is not vacuous.
         rng = np.random.default_rng(10)
         for _, p in model.parameters():
@@ -375,6 +503,29 @@ class TestCheckpoint:
         for (name, p), (name2, q) in zip(model.parameters(), loaded.parameters()):
             assert name == name2
             assert p.dtype == q.dtype
+            assert np.array_equal(p, q)
+
+    def test_config_without_dtype_loads_as_float64(self, tmp_path):
+        """A format-3 checkpoint written before the dtype field came from a
+        float64 model: it loads as one, bit-exact."""
+        model = build(seed=9, dtype="float64")
+        rng = np.random.default_rng(10)
+        for _, p in model.parameters():
+            p += rng.normal(scale=0.1, size=p.shape)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            entries = dict(data)
+        meta = json.loads(str(entries["__meta__"]))
+        del meta["config"]["dtype"]
+        entries["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **entries)
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert loaded.dtype == np.float64
+        for (name, p), (name2, q) in zip(model.parameters(), loaded.parameters()):
+            assert name == name2
+            assert q.dtype == np.float64
             assert np.array_equal(p, q)
 
     def test_baseline_round_trip_names_every_weight_w0(self, tmp_path):
@@ -394,11 +545,12 @@ class TestCheckpoint:
             assert np.array_equal(p, q)
 
     @staticmethod
-    def rewrite(path, edit):
-        """Save a checkpoint, let ``edit`` change its decoded metadata and its
-        entries, write it back.  The metadata is encoded again unless
-        ``edit`` replaced or removed the ``__meta__`` entry itself."""
-        save_checkpoint(build(seed=9), path)
+    def rewrite(path, edit, **kw):
+        """Save a checkpoint of ``build(seed=9, **kw)``, let ``edit`` change
+        its decoded metadata and its entries, write it back.  The metadata
+        is encoded again unless ``edit`` replaced or removed the
+        ``__meta__`` entry itself."""
+        save_checkpoint(build(seed=9, **kw), path)
         with np.load(path) as data:
             entries = dict(data)
         stored = entries["__meta__"]
@@ -481,10 +633,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("dtype", [bool, np.int32, np.float32])
     def test_parameter_of_real_dtype_loads(self, tmp_path, dtype):
+        """A stored array is cast to the model's own dtype."""
         path = tmp_path / "model.npz"
         self.rewrite(path, lambda _, entries: entries.update(
-            {"dense2.bias": entries["dense2.bias"].astype(dtype)}))
-        assert load_checkpoint(path).dense2.bias.dtype == np.float64
+            {"dense2.bias": entries["dense2.bias"].astype(dtype)}), dtype="float64")
+        model = load_checkpoint(path)
+        assert model.dense2.bias.dtype == model.dtype == np.float64
 
     def test_int_for_float_field_loads(self, tmp_path):
         path = tmp_path / "model.npz"
@@ -579,6 +733,7 @@ class TestConfigValidByConstruction:
         pytest.param("learning_rate", 2**1024, id="learning_rate-2**1024"),
         ("seed", 1.5), ("seed", -1),
         pytest.param("r", np.int64(2), id="r-np.int64"),
+        ("dtype", "float16"), pytest.param("dtype", np.float32, id="dtype-np.float32"),
     ])
     def test_wrong_type_or_range_is_config_error(self, key, value):
         with pytest.raises(ConfigError, match=key):
