@@ -101,9 +101,9 @@ class DistanceConv(GraphConv):
     """One weight matrix per shortest-path distance: block j in 0..r is
     the mean over the nodes at distance exactly j, Q_j = P_j.  Block 0
     is kept as it is (P_0 = I) and each later block is propagated in
-    place.  The operators stay float64: scipy takes each product in
-    float64, and writing it back into its block rounds it to the block's
-    dtype."""
+    place.  scipy takes each product in the wider of the operator's and
+    the block's dtype, so operators built in the model's dtype spare it a
+    widened copy; a wider product is rounded back into its block."""
 
     def __init__(self, r: int, c_in: int, c_out: int, rng: np.random.Generator,
                  dtype=np.float64):
@@ -125,8 +125,8 @@ class JointConv(GraphConv):
     """Baseline graph convolution: one weight matrix and the joint mean
     over a node and its direct neighbors, Q = N (I + D P_1), where D holds
     the neighbor counts d and N their joint normalizers 1 / (1 + d) on
-    its diagonal.  d, N and the float64 products with P_1 are cast to the
-    argument's dtype."""
+    its diagonal.  d, N and the products with P_1 are cast to the
+    argument's dtype, which is a no-op for operators built in it."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float64):
         super().__init__(1, c_in, c_out, rng, dtype)

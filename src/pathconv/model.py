@@ -304,8 +304,9 @@ class Model:
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:
     """Class probabilities for one graph, dropout off; ConfigError unless
-    ``sp`` passes :func:`check_fit` for the graph at the model's cutoff."""
-    check_fit([sp], [graph], distance_cutoff(model.config))
+    ``sp`` passes :func:`check_fit` for the graph at the model's cutoff and
+    dtype."""
+    check_fit([sp], [graph], distance_cutoff(model.config), model.dtype)
     probs, _ = model.forward(sp, graph.features)
     return probs[0]
 

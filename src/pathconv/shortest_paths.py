@@ -12,6 +12,10 @@ Propagation at distance j, P_j @ h, replaces each node's row by the mean
 over its distance-j neighbors.  Backpropagation applies P_j^T through a
 CSC view of P_j that shares its arrays, made at each call.  A tensor
 never changes after construction.
+
+The operators' data are built in one floating-point type, float64 unless
+another is asked for: a model multiplies by operators of its own dtype,
+so scipy takes each product in that type without a widened copy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ class SPTensor:
 
     ``mats[j]`` is the CSR operator P_j for j in 0..r: row i stores 1 / c
     at each of the c nodes at distance exactly j from node i, in ascending
-    column order, and is empty when there is none.  Nothing changes a
+    column order, and is empty when there is none.  Every operator's data
+    has the dtype the tensor was built in, 1 / c rounded to it; the index
+    arrays are int32 whatever that dtype.  Nothing changes a
     tensor after construction; :func:`propagate_transpose` builds each
     P_j^T at each call.
 
@@ -78,8 +84,9 @@ def cut_runs(weights: list[int], budget: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(weights)])]
 
 
-def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
-    """The operators P_0..P_r of each graph in ``graphs``, built together.
+def sp_tensors(graphs: list[Graph], r: int, dtype=np.float64) -> list[SPTensor]:
+    """The operators P_0..P_r of each graph in ``graphs``, built together,
+    their data in ``dtype``.
 
     The graphs are taken in order, in the runs that :func:`cut_runs` cuts
     at RUN_ENTRIES stored entries of A + I, and each run is built by
@@ -87,20 +94,20 @@ def sp_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
     """
     check_count("r", r, 0)
     runs = cut_runs([g.node_count + 2 * len(g.edges) for g in graphs], RUN_ENTRIES)
-    return [sp for run in runs for sp in _run_tensors(graphs[run], r)]
+    return [sp for run in runs for sp in _run_tensors(graphs[run], r, dtype)]
 
 
-def _run_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
+def _run_tensors(graphs: list[Graph], r: int, dtype) -> list[SPTensor]:
     """The operators of one run of graphs.
 
     Ring j, the pairs at distance exactly j, holds what the product of
     ring j - 1 with the graphs' block-diagonal A + I reaches and no earlier
     ring holds.  The products are boolean, so no count of paths can wrap
     to zero.  Each ring is cut into per-graph CSR arrays with sorted int32
-    indices by array operations over the whole run: one subtraction makes
-    the column indices local, and every graph's ``indptr`` is a slice of
-    one array, so per graph and distance only slicing and the
-    ``csr_matrix`` call remain.
+    indices by array operations over the whole run: one division gives the
+    whole ring's data 1 / c in ``dtype``, one subtraction makes the column
+    indices local, and every graph's ``indptr`` is a slice of one array, so
+    per graph and distance only slicing and the ``csr_matrix`` call remain.
     """
     sizes = np.array([g.node_count for g in graphs])
     offsets = np.cumsum(np.r_[0, sizes])
@@ -127,7 +134,8 @@ def _run_tensors(graphs: list[Graph], r: int) -> list[SPTensor]:
         bounds = ring.indptr[offsets]
         indices = ring.indices - np.repeat(offsets[:-1].astype(ring.indices.dtype), np.diff(bounds))
         ptr = ring.indptr[ptr_rows] - np.repeat(bounds[:-1], sizes + 1)
-        cuts.append((1.0 / np.repeat(counts, counts), indices, ptr, bounds.tolist()))
+        cuts.append((np.divide(1, np.repeat(counts, counts), dtype=dtype), indices, ptr,
+                     bounds.tolist()))
     tensors = []
     for g, size in enumerate(sizes.tolist()):
         a, b = ptr_starts[g], ptr_starts[g + 1]
@@ -174,12 +182,18 @@ def batch_sp_tensors(sps: list[SPTensor]) -> SPTensor:
     return SPTensor(mats=tuple(mats), graph_sizes=tuple(s for sp in sps for s in sp.graph_sizes))
 
 
-def check_fit(sps: list[SPTensor], graphs: list[Graph], r: int) -> None:
-    """ConfigError unless ``sps`` is one tensor per graph, of that graph alone, to distance >= r."""
+def check_fit(sps: list[SPTensor], graphs: list[Graph], r: int, dtype) -> None:
+    """ConfigError unless ``sps`` is one tensor per graph, of that graph alone,
+    to distance >= r, with data at least as wide as ``dtype``, the model's:
+    narrower operators would round every product of a wider model."""
     if [sp.graph_sizes for sp in sps] != [(g.node_count,) for g in graphs]:
         raise ConfigError(f"{len(sps)} shortest-path tensors do not fit the {len(graphs)} graphs' sizes")
     if any(sp.r < r for sp in sps):
         raise ConfigError(f"shortest-path tensors stop short of distance {r}")
+    for held in {m.dtype for sp in sps for m in sp.mats}:
+        if not np.can_cast(dtype, held):
+            raise ConfigError(f"shortest-path tensors in {held} are narrower than "
+                              f"the {np.dtype(dtype)} model")
 
 
 def propagate(sp: SPTensor, j: int, h: np.ndarray) -> np.ndarray:

@@ -74,12 +74,14 @@ class ExperimentReport:
     std_accuracy: float
 
 
-def precompute_sp_tensors(dataset: Dataset, r: int) -> list[SPTensor]:
-    """One shortest-path tensor per graph; r is fixed per experiment.
+def precompute_sp_tensors(dataset: Dataset, r: int,
+                          dtype: str = ModelConfig.dtype) -> list[SPTensor]:
+    """One shortest-path tensor per graph; r is fixed per experiment, and
+    ``dtype``, the model's, defaults to :class:`ModelConfig`'s.
     ``sp_tensors`` builds them in runs bounded by what their products hold,
     not by NODE_BUDGET: a product over the whole dataset would leave more
     memory resident, which forked pool workers inherit."""
-    return sp_tensors(list(dataset.graphs), r)
+    return sp_tensors(list(dataset.graphs), r, dtype)
 
 
 def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:
@@ -226,9 +228,10 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     """Train on one split and report test accuracy at the best epoch.
 
     ``split`` is a (train, validation, test) triple for :func:`check_split`;
-    ``sps``, given or built here, must pass :func:`check_fit`.  Training runs
-    with one BLAS thread (:func:`single_blas_thread`), and the process keeps
-    the memory each pass frees (:func:`keep_freed_memory`).
+    ``sps``, given or built here in the model's dtype, must pass
+    :func:`check_fit`.  Training runs with one BLAS thread
+    (:func:`single_blas_thread`), and the process keeps the memory each
+    pass frees (:func:`keep_freed_memory`).
     """
     check_count("fold_id", fold_id, 0)
     check_count("repeat_id", repeat_id, 0)
@@ -237,8 +240,8 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
     start = time.perf_counter()
     cutoff = distance_cutoff(config)
     if sps is None:
-        sps = precompute_sp_tensors(dataset, cutoff)
-    check_fit(sps, dataset.graphs, cutoff)
+        sps = precompute_sp_tensors(dataset, cutoff, config.dtype)
+    check_fit(sps, dataset.graphs, cutoff, config.dtype)
     config = replace(config, sortpool_k=resolve_sortpool_k(
         config, [dataset.graphs[i].node_count for i in train_idx]))
 
@@ -358,7 +361,7 @@ def run_experiment(dataset: Dataset, config: ModelConfig, folds: int = 10,
             check_split(dataset, split)
             tasks.append((split, repeat_config, fold, repeat))
 
-    sps = precompute_sp_tensors(dataset, distance_cutoff(config))
+    sps = precompute_sp_tensors(dataset, distance_cutoff(config), config.dtype)
     if jobs > 1:
         # Folds are deterministic in (seed, repeat, fold), so scheduling
         # order cannot change the results.

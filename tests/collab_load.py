@@ -5,8 +5,9 @@ without a node-label file, as COLLAB ships, and prints the write's
 ``tracemalloc`` peak.  Then it loads the set in ``--loads`` fresh
 processes.  Each prints its load seconds and its peak resident set size
 (``ru_maxrss``), then runs ``precompute_sp_tensors`` at r = 2 on the
-loaded set and prints that step's seconds, untraced, and the
-``tracemalloc`` peak of a second, traced call: the process's
+loaded set and prints that step's seconds, untraced, the operators'
+dtype, and the ``tracemalloc`` peak of a second, traced call, in MB and
+per stored operator entry: the process's
 ``ru_maxrss`` after precompute would read as the load's wherever the
 load peaked higher.  At the default 5000 graphs the edge file has about
 25.4M lines (366 MB).
@@ -57,10 +58,14 @@ def load(root: str) -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"load {seconds:.2f} s, ru_maxrss {peak:.0f} MB, {len(dataset)} graphs", flush=True)
     start = time.perf_counter()
-    precompute_sp_tensors(dataset, 2)
+    sps = precompute_sp_tensors(dataset, 2)
     seconds = time.perf_counter() - start
+    entries = sum(m.nnz for sp in sps for m in sp.mats)
+    dtype = sps[0].mats[0].dtype
+    del sps
     peak = traced_peak(precompute_sp_tensors, dataset, 2)
-    print(f"precompute at r = 2 {seconds:.2f} s, traced peak {peak:.0f} MB", flush=True)
+    print(f"precompute at r = 2 {seconds:.2f} s, {dtype} operators, traced peak {peak:.0f} MB, "
+          f"{peak * 2**20 / entries:.1f} bytes per stored entry", flush=True)
 
 
 # A loading process imports this file from its directory and calls load.

@@ -12,7 +12,8 @@ extra epochs, is the seconds per epoch past the first, validation
 included.  It projects the protocol from that: 10 folds x 3 repeats x
 300 epochs at 2 jobs, plus one precompute, and prints the hours per row
 and in total.  The model is ``ModelConfig()``, every field at its default
-(parametric, r = 2, float32).  Run from the repository root:
+(parametric, r = 2, float32), and the operators are built in its dtype.
+Run from the repository root:
 
     PYTHONPATH=src python tests/project_table.py [--rows MUTAG DD]
 
@@ -87,7 +88,7 @@ def project(name: str, config: ModelConfig) -> float:
     build, scale = ROWS[name]
     dataset = build()
     start = time.perf_counter()
-    sps = precompute_sp_tensors(dataset, distance_cutoff(config))
+    sps = precompute_sp_tensors(dataset, distance_cutoff(config), config.dtype)
     precompute = time.perf_counter() - start
     split = stratified_folds(dataset, FOLDS, config.seed)[0]
     one = fold_seconds(dataset, split, config, sps, 1)
@@ -104,7 +105,7 @@ def main() -> None:
     parser.add_argument("--rows", nargs="+", choices=list(ROWS), default=list(ROWS))
     args = parser.parse_args()
     config = ModelConfig()
-    print(f"# {config.mode}, r = {config.r}, {FOLDS} folds x {REPEATS} repeats x "
+    print(f"# {config.mode}, r = {config.r}, {config.dtype}, {FOLDS} folds x {REPEATS} repeats x "
           f"{EPOCHS} epochs at {JOBS} jobs; epochs 2..{TIMED_EPOCHS} of fold 0 timed")
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {platform.machine()}")

@@ -19,7 +19,7 @@ from pathconv import Dataset, Graph, NumericalError, compute_sp_tensor, train_on
 from pathconv.gradcheck import run_all
 from pathconv.layers import SortPool
 from pathconv.model import MODES, distance_cutoff
-from pathconv.shortest_paths import batch_sp_tensors, propagate, propagate_transpose
+from pathconv.shortest_paths import batch_sp_tensors, propagate, propagate_transpose, sp_tensors
 from pathconv.training import (
     NODE_BUDGET,
     accumulate_gradients,
@@ -73,7 +73,7 @@ def test_batched_pass_matches_singletons(r, mode):
     dataset = mixed_dataset()
     model = build(r=r, mode=mode, conv_layers=3, dtype="float64")
     cutoff = distance_cutoff(model.config)
-    sps = precompute_sp_tensors(dataset, cutoff)
+    sps = precompute_sp_tensors(dataset, cutoff, model.config.dtype)
     targets = np.array([g.target for g in dataset.graphs])
 
     probs, losses = [], []
@@ -164,7 +164,7 @@ def test_split_minibatch_matches_one_pass(monkeypatch):
     dataset = mixed_dataset(seed=1)
     dataset = dataclasses.replace(dataset, graphs=dataset.graphs[:4] + dataset.graphs[5:])
     model = build(r=2, dropout_rate=0.5, dtype="float64")
-    sps = precompute_sp_tensors(dataset, 2)
+    sps = precompute_sp_tensors(dataset, 2, model.config.dtype)
     batch = np.array([4, 0, 2, 5, 1, 3])
 
     def run(budget):
@@ -218,6 +218,23 @@ class TestBatchSpTensors:
         for j in range(3):
             for op in (propagate, propagate_transpose):
                 whole = op(batched, j, h)
+                for sp, lo, hi in zip(sps, bounds[:-1], bounds[1:]):
+                    assert np.array_equal(whole[lo:hi], op(sp, j, h[lo:hi]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_join_keeps_dtype(self, dtype):
+        """A join keeps its tensors' dtype, and propagation in it gives
+        every graph's rows bit for bit."""
+        rng = np.random.default_rng(6)
+        sps = sp_tensors([random_graph(rng, n=n, edge_prob=0.4) for n in (7, 3, 12)], 2, dtype)
+        batched = batch_sp_tensors(sps)
+        assert {m.dtype for m in batched.mats} == {np.dtype(dtype)}
+        h = rng.normal(size=(batched.node_count, 4)).astype(dtype)
+        bounds = batched.offsets
+        for j in range(3):
+            for op in (propagate, propagate_transpose):
+                whole = op(batched, j, h)
+                assert whole.dtype == dtype
                 for sp, lo, hi in zip(sps, bounds[:-1], bounds[1:]):
                     assert np.array_equal(whole[lo:hi], op(sp, j, h[lo:hi]))
 
@@ -384,9 +401,9 @@ def test_baseline_mode_builds_only_distance_one(toy_dataset, monkeypatch):
     seen = []
     real = training.precompute_sp_tensors
 
-    def recording(dataset, r):
+    def recording(dataset, r, dtype):
         seen.append(r)
-        return real(dataset, r)
+        return real(dataset, r, dtype)
 
     monkeypatch.setattr(training, "precompute_sp_tensors", recording)
     config = dataclasses.replace(TOY_CONFIG, r=3, mode="dgcnn_baseline", epochs=1)

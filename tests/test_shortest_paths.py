@@ -106,12 +106,14 @@ RUN = 256
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(st.data())
 def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
-    """``precompute_sp_tensors``, which builds runs of graphs together,
-    gives every graph the arrays of ``compute_sp_tensor`` bit for bit and
-    dtype for dtype, with canonical indices, equal to the Floyd-Warshall
-    operators.  The datasets hold single-node, edgeless and disconnected
-    graphs, and one graph over the run bound, which forms a run of its
-    own; with the bound lowered to RUN they span several runs."""
+    """``precompute_sp_tensors`` in float64, which builds runs of graphs
+    together, gives every graph the arrays of ``compute_sp_tensor`` bit for
+    bit and dtype for dtype, with canonical indices, equal to the
+    Floyd-Warshall operators.  In float32, the default, it gives the same
+    index arrays bit for bit and the float64 data rounded to float32.  The
+    datasets hold single-node, edgeless and disconnected graphs, and one
+    graph over the run bound, which forms a run of its own; with the bound
+    lowered to RUN they span several runs."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sizes = data.draw(st.lists(st.integers(1, 30), max_size=25))
     graphs = [random_graph(rng, n, edge_prob=data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.9))))
@@ -129,16 +131,16 @@ def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
     dists = [floyd_warshall_distances(g.node_count, g.edges) for g in graphs]
     run_tensors, runs = shortest_paths._run_tensors, []
 
-    def recording(run, r):
+    def recording(run, r, dtype):
         runs.append(run)
-        return run_tensors(run, r)
+        return run_tensors(run, r, dtype)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shortest_paths, "RUN_ENTRIES", RUN)
         patch.setattr(shortest_paths, "_run_tensors", recording)
         for r in range(4):
             runs.clear()
-            sps = precompute_sp_tensors(dataset, r)
+            sps = precompute_sp_tensors(dataset, r, dtype="float64")
             assert len(runs) > 1
             assert len(sps) == len(graphs)
             for g, dist, sp in zip(graphs, dists, sps):
@@ -152,13 +154,22 @@ def test_dataset_precompute_equals_per_graph_and_floyd_warshall(data):
                         assert got.tobytes() == want.tobytes(), (name, j)
                     assert m.has_canonical_format
                     assert np.array_equal(m.toarray(), normalized_from_distances(dist, j)), (r, j)
+            for sp32, sp in zip(precompute_sp_tensors(dataset, r), sps, strict=True):
+                assert sp32.graph_sizes == sp.graph_sizes
+                for j, (m32, m) in enumerate(zip(sp32.mats, sp.mats, strict=True)):
+                    assert m32.indptr.dtype == m32.indices.dtype == np.int32, j
+                    assert m32.indptr.tobytes() == m.indptr.tobytes(), j
+                    assert m32.indices.tobytes() == m.indices.tobytes(), j
+                    assert m32.data.dtype == np.float32, j
+                    assert m32.data.tobytes() == m.data.astype(np.float32).tobytes(), j
 
 
 def test_precompute_peak_memory_per_operator_entry():
     """On dense COLLAB-shaped ego networks at r = 2, the traced peak of
-    ``precompute_sp_tensors`` stays within 24 bytes per stored operator
-    entry; the operators alone take 12 (float64 data, int32 indices).
-    One product over the whole set peaks at about 55."""
+    ``precompute_sp_tensors`` in float32, the default, stays within 12
+    bytes per stored operator entry (10.0 measured); the operators alone
+    take 8 (float32 data, int32 indices).  float64 operators peak at 14.4,
+    and in float64 one product over the whole set peaks at about 55."""
     dataset = collab_like(0, graphs=300)
     tracemalloc.start()
     try:
@@ -167,7 +178,7 @@ def test_precompute_peak_memory_per_operator_entry():
     finally:
         tracemalloc.stop()
     entries = sum(m.nnz for sp in sps for m in sp.mats)
-    assert peak <= 24 * entries, f"{peak / entries:.1f} bytes per entry"
+    assert peak <= 12 * entries, f"{peak / entries:.1f} bytes per entry"
 
 
 def test_pair_with_many_shortest_paths_found():

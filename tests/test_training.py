@@ -261,6 +261,42 @@ class TestTrainOneFold:
         with pytest.raises(ConfigError, match="stop short of distance 2"):
             train_one_fold(toy_dataset, split, TOY_CONFIG, sps=sps)
 
+    def test_sps_narrower_than_model_rejected(self, toy_dataset):
+        split = toy_splits(toy_dataset)[0]
+        config = dataclasses.replace(TOY_CONFIG, dtype="float64")
+        sps = training.precompute_sp_tensors(toy_dataset, TOY_CONFIG.r, "float32")
+        with pytest.raises(ConfigError, match="float32 are narrower than the float64 model"):
+            train_one_fold(toy_dataset, split, config, sps=sps)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sps_wider_than_model_accepted(self, toy_dataset, mode):
+        """A float32 model rounds the products of float64 operators."""
+        split = toy_splits(toy_dataset)[0]
+        config = dataclasses.replace(TOY_CONFIG, mode=mode, epochs=2)
+        sps = training.precompute_sp_tensors(toy_dataset, TOY_CONFIG.r, "float64")
+        report = train_one_fold(toy_dataset, split, config, sps=sps)
+        assert np.isfinite(report.train_losses + report.val_losses).all()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_built_sps_follow_model_dtype(self, toy_dataset, monkeypatch, dtype):
+        """The tensors train_one_fold and run_experiment build reach every
+        pass in the model's dtype."""
+        seen = set()
+        join = training.batch_sp_tensors
+
+        def recording(sps):
+            joined = join(sps)
+            seen.update(m.dtype for m in joined.mats)
+            return joined
+
+        monkeypatch.setattr(training, "batch_sp_tensors", recording)
+        config = dataclasses.replace(TOY_CONFIG, epochs=1, dtype=dtype)
+        train_one_fold(toy_dataset, toy_splits(toy_dataset)[0], config)
+        assert seen == {np.dtype(dtype)}
+        seen.clear()
+        run_experiment(toy_dataset, config, folds=2, repeats=1)
+        assert seen == {np.dtype(dtype)}
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_exploding_update_raises_numerical_error(self, toy_dataset):
         split = toy_splits(toy_dataset)[0]
