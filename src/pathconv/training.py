@@ -37,8 +37,12 @@ from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py
 log = logging.getLogger(__name__)
 
 # Most nodes in one forward/backward pass.  It bounds the memory a pass
-# holds; a graph larger than this gets a pass of its own.
-NODE_BUDGET = 256
+# holds, about 2.8 KB per node in float32 (under 6 MB at the budget); a
+# graph larger than this gets a pass of its own.  Smaller passes pay
+# scipy's per-call checks and each pass's Python work more often: on the
+# DD-shaped benchmark workload (2-core x86-64) an epoch took 0.32 s at
+# 256 against 0.25 s at 2048, and 4096 was no faster than 2048.
+NODE_BUDGET = 2048
 
 
 @dataclass

@@ -9,16 +9,20 @@ COLLAB rows get degree features.  For each row the script times the
 shortest-path precompute and ``train_one_fold`` on fold 0 of a 10-fold
 split at 1 and at ``TIMED_EPOCHS`` epochs; the difference, over the
 extra epochs, is the seconds per epoch past the first, validation
-included.  It projects the protocol from that: 10 folds x 3 repeats x
+included.  It takes that difference ``TRIALS`` times per row and uses
+the median.  It projects the protocol from that: 10 folds x 3 repeats x
 300 epochs at 2 jobs, plus one precompute, and prints the hours per row
-and in total.  The model is ``ModelConfig()``, every field at its default
+and in total, each with its spread: the range the row's hours take over
+its trials, and for the total the sum of the rows' lows and of their
+highs.  The model is ``ModelConfig()``, every field at its default
 (parametric, r = 2, float32), and the operators are built in its dtype.
 Run from the repository root:
 
     PYTHONPATH=src python tests/project_table.py [--rows MUTAG DD]
 
 Pointing ``PYTHONPATH`` at another checkout's ``src`` projects that
-version on the same stand-ins.  All rows take one to two minutes.
+version on the same stand-ins.  All rows take three to six minutes,
+the MUTAG row about a second.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from pathconv import (  # noqa: E402
 from pathconv.model import distance_cutoff  # noqa: E402
 
 FOLDS, REPEATS, EPOCHS, JOBS = 10, 3, 300, 2
-TIMED_EPOCHS = 5
+TIMED_EPOCHS, TRIALS = 5, 3
 
 
 def as_loaded(dataset: Dataset) -> Dataset:
@@ -83,21 +87,28 @@ def fold_seconds(dataset: Dataset, split, config: ModelConfig, sps, epochs: int)
     return time.perf_counter() - start
 
 
-def project(name: str, config: ModelConfig) -> float:
-    """Print one row's stand-in, timings and projected hours; return the hours."""
+def epoch_seconds(dataset: Dataset, split, config: ModelConfig, sps) -> float:
+    """Seconds per epoch past the first: a TIMED_EPOCHS fold less a 1-epoch fold."""
+    one = fold_seconds(dataset, split, config, sps, 1)
+    return (fold_seconds(dataset, split, config, sps, TIMED_EPOCHS) - one) / (TIMED_EPOCHS - 1)
+
+
+def project(name: str, config: ModelConfig) -> np.ndarray:
+    """Print one row's stand-in, timings and projected hours (the median
+    and the range over its trials); return (median, low, high) hours."""
     build, scale = ROWS[name]
     dataset = build()
     start = time.perf_counter()
     sps = precompute_sp_tensors(dataset, distance_cutoff(config), config.dtype)
     precompute = time.perf_counter() - start
     split = stratified_folds(dataset, FOLDS, config.seed)[0]
-    one = fold_seconds(dataset, split, config, sps, 1)
-    longer = fold_seconds(dataset, split, config, sps, TIMED_EPOCHS)
-    per_epoch = (longer - one) / (TIMED_EPOCHS - 1)
+    per_epoch = np.array([epoch_seconds(dataset, split, config, sps) for _ in range(TRIALS)])
     hours = scale * (precompute + per_epoch * FOLDS * REPEATS * EPOCHS / JOBS) / 3600
+    row = np.array([np.median(hours), hours.min(), hours.max()])
     print(f"{name:<9} {len(dataset):>6} x{scale} {dataset.feature_dim:>4} "
-          f"{precompute:>10.2f} {per_epoch:>8.3f} {hours:>7.2f}", flush=True)
-    return hours
+          f"{precompute:>10.2f} {np.median(per_epoch):>8.3f} {row[0]:>7.2f} "
+          f"{row[1]:>6.2f}-{row[2]:.2f}", flush=True)
+    return row
 
 
 def main() -> None:
@@ -106,13 +117,14 @@ def main() -> None:
     args = parser.parse_args()
     config = ModelConfig()
     print(f"# {config.mode}, r = {config.r}, {config.dtype}, {FOLDS} folds x {REPEATS} repeats x "
-          f"{EPOCHS} epochs at {JOBS} jobs; epochs 2..{TIMED_EPOCHS} of fold 0 timed")
+          f"{EPOCHS} epochs at {JOBS} jobs; epochs 2..{TIMED_EPOCHS} of fold 0 timed, "
+          f"median of {TRIALS}")
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"scipy {scipy.__version__}, {platform.machine()}")
     print(f"{'row':<9} {'graphs':>6} {'':>2} {'d':>4} {'precompute':>10} {'s/epoch':>8} "
-          f"{'hours':>7}")
+          f"{'hours':>7} {'range':>11}")
     total = sum(project(name, config) for name in args.rows)
-    print(f"total {total:.2f} h")
+    print(f"total {total[0]:.2f} h (range {total[1]:.2f}-{total[2]:.2f} h)")
 
 
 if __name__ == "__main__":

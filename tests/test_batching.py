@@ -18,7 +18,7 @@ import pathconv.training as training
 from pathconv import Dataset, Graph, NumericalError, compute_sp_tensor, train_one_fold
 from pathconv.gradcheck import run_all
 from pathconv.layers import SortPool
-from pathconv.model import MODES, distance_cutoff
+from pathconv.model import MODES, ModelConfig, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, propagate, propagate_transpose, sp_tensors
 from pathconv.training import (
     NODE_BUDGET,
@@ -28,18 +28,22 @@ from pathconv.training import (
 )
 
 from oracles import cycle_graph, random_graph, sortpool_order
-from test_model import build
+from test_model import build, grid_pass_peak_per_node
 from test_training import TOY_CONFIG, toy_splits
 
 TOL = 1e-12
+
+# A node budget that mixed_dataset's 300-node graph exceeds, so the tests
+# that set it exercise the pass of its own for an over-budget graph.
+SMALL_BUDGET = 256
 
 
 def mixed_dataset(seed: int = 0) -> Dataset:
     """Awkward shapes side by side: a single node, isolated nodes, cycles
     whose rows tie exactly on every column, and one graph larger than
-    the node budget."""
+    SMALL_BUDGET."""
     rng = np.random.default_rng(seed)
-    big = NODE_BUDGET + 44
+    big = 300
     one_hot = np.eye(3)
     graphs = [
         Graph(1, frozenset(), one_hot[[2]], 1),
@@ -69,7 +73,8 @@ CASES = [(0, "parametric"), (1, "parametric"), (2, "parametric"), (3, "parametri
 
 
 @pytest.mark.parametrize("r, mode", CASES)
-def test_batched_pass_matches_singletons(r, mode):
+def test_batched_pass_matches_singletons(r, mode, monkeypatch):
+    monkeypatch.setattr(training, "NODE_BUDGET", SMALL_BUDGET)
     dataset = mixed_dataset()
     model = build(r=r, mode=mode, conv_layers=3, dtype="float64")
     cutoff = distance_cutoff(model.config)
@@ -184,15 +189,33 @@ def test_split_minibatch_matches_one_pass(monkeypatch):
     assert split_next == next_draw  # the generator advanced by the same draws
 
 
-def test_sub_batches_respect_budget_in_order():
+def test_sub_batches_respect_budget_in_order(monkeypatch):
+    monkeypatch.setattr(training, "NODE_BUDGET", SMALL_BUDGET)
     dataset = mixed_dataset()
     indices = np.array([6, 4, 0, 3, 2, 1, 5])
     runs = sub_batches(dataset, indices)
     assert np.array_equal(np.concatenate(runs), indices)
     sizes = [sum(dataset.graphs[i].node_count for i in run) for run in runs]
     for run, size in zip(runs, sizes):
-        assert size <= NODE_BUDGET or len(run) == 1
+        assert size <= training.NODE_BUDGET or len(run) == 1
     assert len(runs) == 3  # 11 | 300 | 1 + 14 + 8 + 6 + 5
+
+
+def test_node_budget_bounds_a_pass_and_holds_a_molecule_batch(tmp_path):
+    """What the budget is for.  A default float32 training pass of exactly
+    NODE_BUDGET nodes peaks under 5.94 MB, the 2.9 KB per node of
+    test_float32_training_pass_peak_memory_per_node times 2048 nodes
+    (5.78 MB measured; a 4096-node pass takes 11.3 MB).  And a
+    ``batch_size`` minibatch of the largest MUTAG graphs, 28 nodes, is
+    one pass."""
+    per_node = grid_pass_peak_per_node(tmp_path, "float32", (NODE_BUDGET // 32, 32))
+    peak = per_node * NODE_BUDGET
+    assert peak <= 2900 * 2048, f"{peak / 1e6:.2f} MB"
+
+    batch_size = ModelConfig().batch_size
+    molecules = Dataset("MOLECULES", tuple(cycle_graph(28, target=i % 2)
+                                           for i in range(batch_size)), 2, 1)
+    assert len(sub_batches(molecules, np.arange(batch_size))) == 1
 
 
 class TestBatchSpTensors:

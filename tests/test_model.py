@@ -413,11 +413,12 @@ class TestDeterminism:
         assert any(not np.array_equal(p, q) for (_, p), (_, q) in zip(a, b))
 
 
-def grid_pass_peak_per_node(directory, dtype: str) -> float:
+def grid_pass_peak_per_node(directory, dtype: str, shape=(60, 50)) -> float:
     """Traced peak bytes per node of one training pass at r = 2 over a
-    3000-node triangulated grid with 89 label columns as the loader
-    stores them, one byte per entry, with operators in ``dtype`` too."""
-    idx = np.arange(3000).reshape(60, 50)
+    triangulated grid, 3000 nodes by default, with 89 label columns as
+    the loader stores them, one byte per entry, with operators in
+    ``dtype`` too."""
+    idx = np.arange(shape[0] * shape[1]).reshape(shape)
     edges = np.concatenate([np.stack((a.ravel(), b.ravel()), 1) for a, b in (
         (idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:]), (idx[:-1, :-1], idx[1:, 1:]))])
     labels = np.random.default_rng(0).integers(89, size=idx.size)
