@@ -209,11 +209,12 @@ def check_model(label: str, model: Model, sp, x, targets,
         raise AssertionError(f"pre-activation too close to a kink: {margin}")
 
     def objective():
-        _, cache = model.forward(sp, x)
-        return float(softmax_cross_entropy(cache["logits"], targets)[0].sum())
+        logits, _ = model.forward(sp, x)
+        return float(softmax_cross_entropy(logits, targets)[0].sum())
 
     model.zero_gradients()
-    _, _, dx = model.loss_and_gradients(sp, x, targets, input_grad=True)
+    logits, cache = model.forward(sp, x)
+    dx = model.backward(cache, softmax_cross_entropy(logits, targets)[1], input_grad=True)
     checked = [(name, p, g) for (name, p), (_, g) in zip(model.parameters(),
                                                            model.gradients())]
     return compare(label, objective,

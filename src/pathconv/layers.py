@@ -292,11 +292,11 @@ class Dense:
     read as (rows, c_in), so a (graphs, steps, channels) signal whose
     steps * channels is c_in gives one row per graph.
 
-    ``backward`` keeps each (rows, dout) pair instead of adding its
-    outer product to ``grad_weight``: a wide layer fed one graph at a time
-    would otherwise read and write the whole weight-sized buffer per call.
-    ``gradients()`` folds every kept pair in with one GEMM; a kept input
-    must not change before then.
+    ``backward`` keeps each (rows, dout) pair, and ``gradients()`` folds
+    them into ``grad_weight`` with one GEMM; a kept input must not change
+    before then.  A DD-shaped minibatch is about five passes, and adding
+    each pass's product at once made its epoch 4% slower (2-core x86-64,
+    one BLAS thread, 7 of 8 pairs); one-pass minibatches are level.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float64):

@@ -4,7 +4,7 @@ Architecture: a stack of graph convolution layers, a concatenation of all
 their outputs, a sort-based pooling layer producing a fixed k x c tensor,
 then a 1-D read-out (a width-1 convolution acting on each pooled node row,
 max-pooling over pairs of rows, a second convolution) and two dense layers
-ending in a softmax over the classes.  Graph convolutions use tanh, the
+ending in one logit per class.  Graph convolutions use tanh, the
 read-out uses rectified linear units.  The network runs on minibatches:
 the graphs of a batch travel through the graph convolutions as one
 disconnected graph and through the read-out as a leading batch axis.
@@ -207,13 +207,11 @@ class Model:
         return hcat, caches
 
     def forward(self, sp: SPTensor, x: np.ndarray, rng: np.random.Generator | None = None):
-        """Class probabilities, one row per graph of ``sp``, plus the cache
+        """Class logits, one float64 row per graph of ``sp``, plus the cache
         backward needs.  ``x`` stacks the graphs' feature rows, bool, int
-        or float; every layer computes in the model's dtype.  The logits
-        are widened to float64 for the softmax, so the probabilities are
-        float64 rows that sum to 1 within float64 rounding, whatever the
-        dtype.  Dropout draws its mask from ``rng`` and is off without
-        one."""
+        or float; every layer computes in the model's dtype, and only the
+        logits are widened to float64 for the loss and the softmax.
+        Dropout draws its mask from ``rng`` and is off without one."""
         hcat, conv_caches = self._convolve(sp, x)
         h, record = self.sortpool.forward(hcat, offsets=sp.offsets)
         readout_caches = []
@@ -222,11 +220,10 @@ class Model:
             readout_caches.append(layer_cache)
         h, mask = self.dropout.forward(h, rng)
         logits, dense2_cache = self.dense2.forward(h)
-        logits = logits.astype(np.float64, copy=False)
         cache = {"conv_caches": conv_caches, "record": record,
                  "readout_caches": readout_caches, "dropout_mask": mask,
-                 "dense2_cache": dense2_cache, "logits": logits}
-        return softmax(logits), cache
+                 "dense2_cache": dense2_cache}
+        return logits.astype(np.float64, copy=False), cache
 
     def backward(self, cache, dlogits: np.ndarray, input_grad: bool = False):
         """Add this batch's parameter gradients to the sums that
@@ -253,15 +250,13 @@ class Model:
         return dnext
 
     def loss_and_gradients(self, sp: SPTensor, x: np.ndarray, target,
-                           rng: np.random.Generator | None = None,
-                           input_grad: bool = False):
-        """Forward, cross-entropy, backward; returns (losses, probs, dx),
-        one loss per graph and dx only with ``input_grad``.  Dropout runs
-        only with ``rng``."""
-        probs, cache = self.forward(sp, x, rng=rng)
-        loss, dlogits = softmax_cross_entropy(cache["logits"], np.atleast_1d(target))
-        dx = self.backward(cache, dlogits, input_grad=input_grad)
-        return loss, probs, dx
+                           rng: np.random.Generator | None = None) -> np.ndarray:
+        """Forward, cross-entropy, backward; returns one loss per graph.
+        Dropout runs only with ``rng``."""
+        logits, cache = self.forward(sp, x, rng=rng)
+        loss, dlogits = softmax_cross_entropy(logits, np.atleast_1d(target))
+        self.backward(cache, dlogits)
+        return loss
 
     def conv_activations(self, sp: SPTensor, x: np.ndarray) -> list[np.ndarray]:
         """Outputs of every graph convolution layer, in order."""
@@ -303,12 +298,12 @@ class Model:
 
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:
-    """Class probabilities for one graph, dropout off; ConfigError unless
-    ``sp`` passes :func:`check_fit` for the graph at the model's cutoff and
-    dtype."""
+    """Class probabilities for one graph, the softmax of its float64
+    logits, dropout off; ConfigError unless ``sp`` passes
+    :func:`check_fit` for the graph at the model's cutoff and dtype."""
     check_fit([sp], [graph], distance_cutoff(model.config), model.dtype)
-    probs, _ = model.forward(sp, graph.features)
-    return probs[0]
+    logits, _ = model.forward(sp, graph.features)
+    return softmax(logits)[0]
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -95,41 +95,36 @@ def sub_batches(dataset: Dataset, indices: np.ndarray) -> list[np.ndarray]:
     return [indices[run] for run in runs]
 
 
-def _stack(dataset: Dataset, sps, indices):
-    """One pass's input: the graphs as one disconnected graph, their
-    stacked feature rows and their targets."""
-    graphs = [dataset.graphs[i] for i in indices]
-    sp = batch_sp_tensors([sps[i] for i in indices])
-    x = np.concatenate([g.features for g in graphs])
-    return sp, x, np.array([g.target for g in graphs])
+def passes(dataset: Dataset, sps, indices):
+    """Each run of :func:`sub_batches` as one pass's input: its graphs as
+    one disconnected graph, their stacked feature rows and their targets."""
+    for run in sub_batches(dataset, indices):
+        graphs = [dataset.graphs[i] for i in run]
+        yield (batch_sp_tensors([sps[i] for i in run]),
+               np.concatenate([g.features for g in graphs]),
+               np.array([g.target for g in graphs]))
 
 
 def accumulate_gradients(model: Model, dataset: Dataset, sps, batch,
                          rng: np.random.Generator) -> np.ndarray:
     """Add the summed gradients, dropout on, of the graphs ``batch`` to
-    the model's buffers, one sub-batch at a time; returns their losses.
+    the model's buffers, one pass at a time; returns their losses.
 
-    Sub-batches draw their dropout masks one after the other from ``rng``,
+    Passes draw their dropout masks one after the other from ``rng``,
     so the draws do not depend on where the batch is cut.
     """
-    losses = []
-    for run in sub_batches(dataset, batch):
-        sp, x, targets = _stack(dataset, sps, run)
-        loss, _, _ = model.loss_and_gradients(sp, x, targets, rng=rng)
-        losses.append(loss)
-    return np.concatenate(losses)
+    return np.concatenate([model.loss_and_gradients(sp, x, targets, rng=rng)
+                           for sp, x, targets in passes(dataset, sps, batch)])
 
 
 def _evaluate(model: Model, dataset: Dataset, sps, indices) -> tuple[float, float]:
     """(accuracy, mean loss) over the given graph indices, dropout off."""
     correct = 0
     total_loss = 0.0
-    for run in sub_batches(dataset, indices):
-        sp, x, targets = _stack(dataset, sps, run)
-        _, cache = model.forward(sp, x)
-        losses, _ = softmax_cross_entropy(cache["logits"], targets)
-        total_loss += float(losses.sum())
-        correct += int((cache["logits"].argmax(axis=1) == targets).sum())
+    for sp, x, targets in passes(dataset, sps, indices):
+        logits, _ = model.forward(sp, x)
+        total_loss += float(softmax_cross_entropy(logits, targets)[0].sum())
+        correct += int((logits.argmax(axis=1) == targets).sum())
     n = len(indices)
     return correct / n, total_loss / n
 

@@ -28,7 +28,7 @@ from pathconv.training import (
 )
 
 from oracles import cycle_graph, random_graph, sortpool_order
-from test_model import build, grid_pass_peak_per_node
+from test_model import build, full_pass, grid_pass_peak_per_node
 from test_training import TOY_CONFIG, toy_splits
 
 TOL = 1e-12
@@ -85,7 +85,7 @@ def test_batched_pass_matches_singletons(r, mode, monkeypatch):
     summed = [np.zeros_like(g) for _, g in model.gradients()]
     for g, sp in zip(dataset.graphs, sps):
         model.zero_gradients()
-        loss, p, _ = model.loss_and_gradients(sp, g.features, g.target)
+        loss, p, _ = full_pass(model, sp, g.features, g.target)
         probs.append(p[0])
         losses.append(loss[0])
         for total, grad in zip(summed, gradient_copy(model)):
@@ -94,7 +94,7 @@ def test_batched_pass_matches_singletons(r, mode, monkeypatch):
     model.zero_gradients()
     sp = batch_sp_tensors(sps)
     x = np.concatenate([g.features for g in dataset.graphs])
-    batch_losses, batch_probs, _ = model.loss_and_gradients(sp, x, targets)
+    batch_losses, batch_probs, _ = full_pass(model, sp, x, targets)
     assert_close(batch_probs, probs)
     assert_close(batch_losses, losses)
     for grad, total in zip(gradient_copy(model), summed):
@@ -143,7 +143,7 @@ def test_random_cuts_match_singletons(mode, batch):
     summed = [np.zeros_like(g) for _, g in model.gradients()]
     for g, sp in zip(graphs, sps):
         model.zero_gradients()
-        singles.append(model.loss_and_gradients(sp, g.features, g.target, input_grad=True))
+        singles.append(full_pass(model, sp, g.features, g.target, input_grad=True))
         for total, grad in zip(summed, gradient_copy(model)):
             total += grad
 
@@ -152,8 +152,8 @@ def test_random_cuts_match_singletons(mode, batch):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sp = batch_sp_tensors(sps[lo:hi])
         x = np.concatenate([g.features for g in graphs[lo:hi]])
-        losses, probs, dx = model.loss_and_gradients(
-            sp, x, [g.target for g in graphs[lo:hi]], input_grad=True)
+        losses, probs, dx = full_pass(
+            model, sp, x, [g.target for g in graphs[lo:hi]], input_grad=True)
         rows = np.cumsum([0] + [g.node_count for g in graphs[lo:hi]])
         for i, (loss1, probs1, dx1) in enumerate(singles[lo:hi]):
             assert_close(losses[i], loss1[0])
@@ -391,9 +391,9 @@ class TestInputGradient:
         g = random_graph(np.random.default_rng(8), n=7, edge_prob=0.4)
         model = build(r=2)
         sp = compute_sp_tensor(g, 2)
-        _, _, dx = model.loss_and_gradients(sp, g.features, g.target)
+        _, _, dx = full_pass(model, sp, g.features, g.target)
         assert dx is None
-        _, _, dx = model.loss_and_gradients(sp, g.features, g.target, input_grad=True)
+        _, _, dx = full_pass(model, sp, g.features, g.target, input_grad=True)
         assert dx.shape == g.features.shape
 
     def test_parameter_gradients_do_not_depend_on_it(self):
@@ -403,7 +403,7 @@ class TestInputGradient:
         model.loss_and_gradients(sp, g.features, g.target)
         without = gradient_copy(model)
         model.zero_gradients()
-        model.loss_and_gradients(sp, g.features, g.target, input_grad=True)
+        full_pass(model, sp, g.features, g.target, input_grad=True)
         for a, b in zip(gradient_copy(model), without):
             assert np.array_equal(a, b)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import re
 import struct
@@ -25,8 +26,8 @@ from pathconv import (
     save_checkpoint,
     save_tu_dataset,
 )
-from pathconv.layers import softmax_cross_entropy
-from pathconv.model import MODES, distance_cutoff
+from pathconv.layers import softmax, softmax_cross_entropy
+from pathconv.model import DTYPES, MODES, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, sp_tensors
 
 from oracles import (
@@ -50,6 +51,15 @@ def build(r=2, mode="parametric", feature_dim=3, num_classes=2, seed=5, **kw):
     params = {**SMALL, **kw}
     config = ModelConfig(r=r, mode=mode, seed=seed, **params)
     return Model(config, feature_dim, num_classes)
+
+
+def full_pass(model, sp, x, targets, input_grad=False):
+    """Forward, cross-entropy and backward, dropout off: (losses,
+    probabilities, input gradient), the input gradient only with
+    ``input_grad``."""
+    logits, cache = model.forward(sp, x)
+    losses, dlogits = softmax_cross_entropy(logits, np.atleast_1d(targets))
+    return losses, softmax(logits), model.backward(cache, dlogits, input_grad=input_grad)
 
 
 def permute_graph(graph: Graph, perm: np.ndarray) -> Graph:
@@ -188,7 +198,8 @@ def test_forward_matches_readout_oracle(mode, with_rng):
     r = distance_cutoff(model.config)
     sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
     x = np.vstack([g.features for g in graphs])
-    probs, _ = model.forward(sp, x, rng=rng if with_rng else None)
+    logits, _ = model.forward(sp, x, rng=rng if with_rng else None)
+    probs = softmax(logits)
 
     hcat = np.hstack(model.conv_activations(sp, x))
     bounds = sp.offsets
@@ -241,13 +252,13 @@ class TestFloat32:
         graphs = self.graphs(count)
         sp = batch_sp_tensors(sp_tensors(graphs, distance_cutoff(model.config)))
         x = np.vstack([g.features for g in graphs]).astype(features)
-        probs, cache = model.forward(sp, x, rng=np.random.default_rng(0))
-        _, dlogits = softmax_cross_entropy(cache["logits"], [g.target for g in graphs])
+        logits, cache = model.forward(sp, x, rng=np.random.default_rng(0))
+        _, dlogits = softmax_cross_entropy(logits, [g.target for g in graphs])
         dx = model.backward(cache, dlogits, input_grad=True)
         optimizer = model.make_optimizer()
         optimizer.step(model.gradients())
 
-        assert probs.dtype == cache.pop("logits").dtype == np.float64
+        assert logits.dtype == np.float64
         assert cache["dropout_mask"] is not None
         checked = float_arrays([returned, cache, dx, model.parameters(),
                                 model.gradients(), optimizer.m, optimizer.v])
@@ -278,7 +289,7 @@ class TestFloat32:
             sp = batch_sp_tensors(sp_tensors(graphs, distance_cutoff(model.config), model.dtype))
             _, cache = model.forward(sp, x)
             model.zero_gradients()
-            losses, probs, dx = model.loss_and_gradients(sp, x, targets, input_grad=True)
+            losses, probs, dx = full_pass(model, sp, x, targets, input_grad=True)
             grads = [g.copy() for _, g in model.gradients()]
             return cache["record"][:2], [probs, losses, dx, *grads]
 
@@ -290,15 +301,33 @@ class TestFloat32:
             assert_close(a32, a64, tol=F32_TOL)
 
     def test_model_forward_rows_are_float64(self):
-        """model_forward returns float64 rows that sum to 1 within 1e-12."""
-        rng = np.random.default_rng(12)
-        for trial in range(10):
-            g = random_graph(rng, n=int(rng.integers(3, 15)), edge_prob=0.3)
-            model = build(seed=trial, num_classes=2 + trial % 3)
-            probs = model_forward(g, compute_sp_tensor(g, model.config.r), model)
-            assert model.dtype == np.float32
-            assert probs.dtype == np.float64
-            assert abs(probs.sum() - 1.0) <= 1e-12
+        """In either mode and dtype, model_forward returns float64 rows
+        that sum to 1 within 1e-12: the softmax of Model.forward's float64
+        logits, bit for bit.  loss_and_gradients returns those logits'
+        cross-entropy and adds the gradients forward and backward add."""
+        for mode, dtype in itertools.product(MODES, DTYPES):
+            rng = np.random.default_rng(12)
+            for trial in range(10):
+                g = random_graph(rng, n=int(rng.integers(3, 15)), edge_prob=0.3,
+                                 target=trial % 2)
+                model = build(mode=mode, dtype=dtype, seed=trial, num_classes=2 + trial % 3)
+                sp = compute_sp_tensor(g, model.config.r)
+                probs = model_forward(g, sp, model)
+                assert model.dtype == np.dtype(dtype)
+                assert probs.dtype == np.float64
+                assert abs(probs.sum() - 1.0) <= 1e-12
+
+                logits, cache = model.forward(sp, g.features)
+                assert logits.dtype == np.float64
+                assert np.array_equal(probs, softmax(logits)[0])
+                losses, dlogits = softmax_cross_entropy(logits, [g.target])
+                assert np.array_equal(model.loss_and_gradients(sp, g.features, g.target),
+                                      losses)
+                summed = [grad.copy() for _, grad in model.gradients()]
+                model.zero_gradients()
+                model.backward(cache, dlogits)
+                for (name, grad), expected in zip(model.gradients(), summed, strict=True):
+                    assert np.array_equal(grad, expected), (mode, dtype, name)
 
 
 class TestWidthLaw:
