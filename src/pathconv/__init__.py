@@ -56,6 +56,7 @@ __all__ = [
     "run_experiment",
     "save_checkpoint",
     "save_tu_dataset",
+    "softmax_cross_entropy",
     "stratified_folds",
     "train_one_fold",
 ]

@@ -25,7 +25,6 @@ import numpy as np
 from .data import Graph
 from .errors import ConfigError, check_count
 from .layers import (
-    Adam,
     Conv1D,
     Dense,
     DistanceConv,
@@ -35,7 +34,6 @@ from .layers import (
     ReLU,
     SortPool,
     softmax,
-    softmax_cross_entropy,
 )
 from .shortest_paths import SPTensor, check_fit
 
@@ -249,15 +247,6 @@ class Model:
                                                  input_grad=input_grad or i > 0)
         return dnext
 
-    def loss_and_gradients(self, sp: SPTensor, x: np.ndarray, target,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-        """Forward, cross-entropy, backward; returns one loss per graph.
-        Dropout runs only with ``rng``."""
-        logits, cache = self.forward(sp, x, rng=rng)
-        loss, dlogits = softmax_cross_entropy(logits, np.atleast_1d(target))
-        self.backward(cache, dlogits)
-        return loss
-
     def conv_activations(self, sp: SPTensor, x: np.ndarray) -> list[np.ndarray]:
         """Outputs of every graph convolution layer, in order."""
         hcat, _ = self._convolve(sp, x)
@@ -279,10 +268,6 @@ class Model:
         for _, g in self.gradients():
             g[...] = 0.0
 
-    def scale_gradients(self, factor: float) -> None:
-        for _, g in self.gradients():
-            g *= factor
-
     def get_state(self) -> list[np.ndarray]:
         return [p.copy() for _, p in self.parameters()]
 
@@ -292,9 +277,6 @@ class Model:
             raise ValueError("state does not match parameter list")
         for (_, p), s in zip(params, state):
             np.copyto(p, s)
-
-    def make_optimizer(self) -> Adam:
-        return Adam(self.parameters(), lr=self.config.learning_rate)
 
 
 def model_forward(graph: Graph, sp: SPTensor, model: Model) -> np.ndarray:

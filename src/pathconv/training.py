@@ -6,6 +6,10 @@ of the best validation epoch, and only then touches the test block once.
 Experiments repeat the whole cross-validation with re-seeded partitions
 and aggregate mean and standard deviation over all folds.
 
+The model is the network alone; this module holds the objective: the
+softmax cross-entropy of each graph, its mean over a minibatch, and the
+Adam optimizer that minimizes it.
+
 Graphs are processed in passes of at most NODE_BUDGET nodes: a minibatch
 is cut, in order, into consecutive sub-batches whose gradients add up,
 and evaluation walks its graphs the same way.  Each pass treats its
@@ -29,7 +33,7 @@ import numpy as np
 
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericalError, check_count
-from .layers import softmax_cross_entropy
+from .layers import Adam, softmax_cross_entropy
 from .model import Model, ModelConfig, distance_cutoff, resolve_sortpool_k
 from .shortest_paths import SPTensor, batch_sp_tensors, check_fit, cut_runs, sp_tensors
 from .shortest_paths import compute_sp_tensor  # unused here; perfbench/spans.py wraps it by name
@@ -107,14 +111,22 @@ def passes(dataset: Dataset, sps, indices):
 
 def accumulate_gradients(model: Model, dataset: Dataset, sps, batch,
                          rng: np.random.Generator) -> np.ndarray:
-    """Add the summed gradients, dropout on, of the graphs ``batch`` to
-    the model's buffers, one pass at a time; returns their losses.
+    """Add the summed gradients of the training loss, each graph's softmax
+    cross-entropy with dropout on, over the graphs ``batch`` to the model's
+    buffers, one pass (forward, loss, backward) at a time; returns their
+    losses.
 
     Passes draw their dropout masks one after the other from ``rng``,
     so the draws do not depend on where the batch is cut.
     """
-    return np.concatenate([model.loss_and_gradients(sp, x, targets, rng=rng)
-                           for sp, x, targets in passes(dataset, sps, batch)])
+    losses = []
+    for sp, x, targets in passes(dataset, sps, batch):
+        logits, cache = model.forward(sp, x, rng=rng)
+        loss, dlogits = softmax_cross_entropy(logits, targets)
+        model.backward(cache, dlogits)
+        del cache  # the next pass's forward must not run beside this one's activations
+        losses.append(loss)
+    return np.concatenate(losses)
 
 
 def _evaluate(model: Model, dataset: Dataset, sps, indices) -> tuple[float, float]:
@@ -122,7 +134,7 @@ def _evaluate(model: Model, dataset: Dataset, sps, indices) -> tuple[float, floa
     correct = 0
     total_loss = 0.0
     for sp, x, targets in passes(dataset, sps, indices):
-        logits, _ = model.forward(sp, x)
+        logits = model.forward(sp, x)[0]  # the cache is dropped before the next pass
         total_loss += float(softmax_cross_entropy(logits, targets)[0].sum())
         correct += int((logits.argmax(axis=1) == targets).sum())
     n = len(indices)
@@ -245,7 +257,7 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
         config, [dataset.graphs[i].node_count for i in train_idx]))
 
     model = Model(config, dataset.feature_dim, dataset.num_classes)
-    optimizer = model.make_optimizer()
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng([config.seed, fold_id, 0x7261])
 
     best_acc = -1.0
@@ -271,8 +283,10 @@ def train_one_fold(dataset: Dataset, split, config: ModelConfig,
                         f"(fold {fold_id}, repeat {repeat_id}, epoch {epoch})"
                     )
                 epoch_loss += float(losses.sum())
-                model.scale_gradients(1.0 / len(batch))
-                optimizer.step(model.gradients())
+                gradients = model.gradients()  # the minibatch mean of the sums
+                for _, g in gradients:
+                    g *= 1.0 / len(batch)
+                optimizer.step(gradients)
             train_losses.append(epoch_loss / len(train_idx))
 
             val_acc, val_loss = _evaluate(model, dataset, sps, val_idx)

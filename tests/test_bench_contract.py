@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathconv import save_tu_dataset
+from pathconv import Adam, save_tu_dataset, softmax_cross_entropy
 from pathconv.model import MODES, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, compute_sp_tensor
 
@@ -82,8 +82,10 @@ def test_tracer_wraps_one_training_step(mode):
         r = distance_cutoff(model.config)
         sp = batch_sp_tensors([compute_sp_tensor(g, r) for g in graphs])
         x = np.concatenate([g.features for g in graphs])
-        model.loss_and_gradients(sp, x, [g.target for g in graphs])
-        model.make_optimizer().step(model.gradients())
+        logits, cache = model.forward(sp, x)
+        _, dlogits = softmax_cross_entropy(logits, [g.target for g in graphs])
+        model.backward(cache, dlogits)
+        Adam(model.parameters(), lr=model.config.learning_rate).step(model.gradients())
     finally:
         tracer.uninstall()
 

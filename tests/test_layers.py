@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pathconv
 from pathconv import Graph, NumericalError, compute_sp_tensor
 from pathconv.gradcheck import central_difference, run_all
 from pathconv.layers import (
@@ -29,6 +30,7 @@ from oracles import (
     random_graph,
 )
 from test_batching import assert_close
+from test_model import full_pass
 
 
 def rng():
@@ -309,6 +311,10 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros(3), 3)
 
+    def test_exported(self):
+        assert "softmax_cross_entropy" in pathconv.__all__
+        assert pathconv.softmax_cross_entropy is softmax_cross_entropy
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
@@ -507,7 +513,7 @@ class TestDenseDeferredGradient:
         model = Model(config, feature_dim=1, num_classes=2)
         graph = path_graph(12, target=1)
         sp = compute_sp_tensor(graph, r=1)
-        model.loss_and_gradients(sp, graph.features, graph.target)
+        full_pass(model, sp, graph.features, graph.target)
         model.zero_gradients()
         for name, g in model.gradients():
             assert not g.any(), name

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pathconv import (
+    Adam,
     ConfigError,
     Dataset,
     Graph,
@@ -29,6 +30,7 @@ from pathconv import (
 from pathconv.layers import softmax, softmax_cross_entropy
 from pathconv.model import DTYPES, MODES, distance_cutoff
 from pathconv.shortest_paths import batch_sp_tensors, sp_tensors
+from pathconv.training import accumulate_gradients
 
 from oracles import (
     floyd_warshall_distances,
@@ -181,7 +183,7 @@ class TestForward:
         model = build()
         sp = compute_sp_tensor(g, model.config.r)
         before = [p.copy() for _, p in model.parameters()]
-        model.loss_and_gradients(sp, g.features, target=1)
+        full_pass(model, sp, g.features, 1)
         for (_, p), b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
 
@@ -255,7 +257,7 @@ class TestFloat32:
         logits, cache = model.forward(sp, x, rng=np.random.default_rng(0))
         _, dlogits = softmax_cross_entropy(logits, [g.target for g in graphs])
         dx = model.backward(cache, dlogits, input_grad=True)
-        optimizer = model.make_optimizer()
+        optimizer = Adam(model.parameters(), lr=model.config.learning_rate)
         optimizer.step(model.gradients())
 
         assert logits.dtype == np.float64
@@ -303,8 +305,9 @@ class TestFloat32:
     def test_model_forward_rows_are_float64(self):
         """In either mode and dtype, model_forward returns float64 rows
         that sum to 1 within 1e-12: the softmax of Model.forward's float64
-        logits, bit for bit.  loss_and_gradients returns those logits'
-        cross-entropy and adds the gradients forward and backward add."""
+        logits, bit for bit.  Over a one-graph dataset, accumulate_gradients
+        returns those logits' cross-entropy and adds the gradients forward
+        and backward add."""
         for mode, dtype in itertools.product(MODES, DTYPES):
             rng = np.random.default_rng(12)
             for trial in range(10):
@@ -321,7 +324,10 @@ class TestFloat32:
                 assert logits.dtype == np.float64
                 assert np.array_equal(probs, softmax(logits)[0])
                 losses, dlogits = softmax_cross_entropy(logits, [g.target])
-                assert np.array_equal(model.loss_and_gradients(sp, g.features, g.target),
+                one = Dataset("ONE", (g,), model.num_classes, model.feature_dim)
+                # SMALL's dropout rate is 0, so the generator draws nothing.
+                assert np.array_equal(accumulate_gradients(model, one, [sp], np.array([0]),
+                                                           np.random.default_rng(0)),
                                       losses)
                 summed = [grad.copy() for _, grad in model.gradients()]
                 model.zero_gradients()
@@ -417,13 +423,15 @@ class TestDeterminism:
 
         def run():
             model = build(seed=77)
-            opt = model.make_optimizer()
+            opt = Adam(model.parameters(), lr=model.config.learning_rate)
             for _ in range(5):
                 model.zero_gradients()
                 for g, sp in zip(graphs, sps):
-                    model.loss_and_gradients(sp, g.features, g.target)
-                model.scale_gradients(1.0 / len(graphs))
-                opt.step(model.gradients())
+                    full_pass(model, sp, g.features, g.target)
+                gradients = model.gradients()
+                for _, grad in gradients:
+                    grad *= 1.0 / len(graphs)
+                opt.step(gradients)
             return [p.copy() for _, p in model.parameters()]
 
         for a, b in zip(run(), run()):
@@ -459,7 +467,9 @@ def grid_pass_peak_per_node(directory, dtype: str, shape=(60, 50)) -> float:
     sp = sp_tensors([g], 2, dtype)[0]
     tracemalloc.start()
     try:
-        model.loss_and_gradients(sp, g.features, g.target)
+        logits, cache = model.forward(sp, g.features)
+        _, dlogits = softmax_cross_entropy(logits, np.atleast_1d(g.target))
+        model.backward(cache, dlogits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,7 +520,7 @@ class TestFilterViews:
         before = [conv.weight.copy() for conv in model.graph_convs]
         for _, g in model.gradients():
             g[...] = 1.0
-        model.make_optimizer().step(model.gradients())
+        Adam(model.parameters(), lr=model.config.learning_rate).step(model.gradients())
         # Adam's first step moves every entry by the learning rate.
         for conv, w in zip(model.graph_convs, before):
             assert np.allclose(conv.weight, w - model.config.learning_rate, rtol=0, atol=1e-10)

@@ -278,6 +278,23 @@ class TestTrainOneFold:
         assert np.isfinite(report.train_losses + report.val_losses).all()
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode, r", [("parametric", 0), ("parametric", 1),
+                                         ("parametric", 2), ("dgcnn_baseline", 2)])
+    def test_sps_past_cutoff_train_like_sps_at_it(self, toy_dataset, mode, r, dtype):
+        """Tensors built to distance 3 give the same report, bit for bit and
+        wall time aside, as tensors built at the model's distance cutoff."""
+        split = toy_splits(toy_dataset)[0]
+        config = dataclasses.replace(TOY_CONFIG, mode=mode, r=r, epochs=3, dtype=dtype)
+
+        def report(cutoff):
+            sps = training.precompute_sp_tensors(toy_dataset, cutoff, dtype)
+            fields = dataclasses.asdict(train_one_fold(toy_dataset, split, config, sps=sps))
+            del fields["wall_time_seconds"]
+            return fields
+
+        assert report(3) == report(distance_cutoff(config))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_built_sps_follow_model_dtype(self, toy_dataset, monkeypatch, dtype):
         """The tensors train_one_fold and run_experiment build reach every
         pass in the model's dtype."""
@@ -318,14 +335,14 @@ config = ModelConfig(r=2, epochs=2, seed=0)
 sps = precompute_sp_tensors(dataset, config.r)
 split = stratified_folds(dataset, 10, seed=0)[0]
 passes = 0
-pass_ = Model.loss_and_gradients
+pass_ = Model.backward
 
 def counted(*args, **kwargs):
     global passes
     passes += 1
     return pass_(*args, **kwargs)
 
-Model.loss_and_gradients = counted
+Model.backward = counted
 train_one_fold(dataset, split, config, sps=sps)
 passes = 0
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
